@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wlcache/internal/expt"
 )
 
 // TestMain intercepts the chaos harness's re-exec: when -chaos spawns
@@ -151,106 +153,6 @@ func TestJSONBench(t *testing.T) {
 	}
 }
 
-// The committed golden must match a fresh run (simulation is
-// deterministic), and a corrupted golden must be detected with a
-// non-nil error naming the diverging field.
-func TestCompareGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	var b strings.Builder
-	if err := run([]string{"-compare", "testdata/bench_golden.json", "-workloads", "adpcmencode,sha"}, &b); err != nil {
-		t.Fatalf("compare against committed golden: %v", err)
-	}
-	if !strings.Contains(b.String(), "golden check passed") {
-		t.Fatalf("missing pass message:\n%s", b.String())
-	}
-
-	// Corrupt one checksum; the run must now fail and say where.
-	raw, err := os.ReadFile("testdata/bench_golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc benchFile
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc.Results[0].Checksum++
-	bad, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	badPath := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = run([]string{"-compare", badPath, "-workloads", "adpcmencode"}, &b)
-	if err == nil {
-		t.Fatal("corrupted golden accepted")
-	}
-	if !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("error does not name the diverging field: %v", err)
-	}
-}
-
-// A golden pinning a cell the run does not produce must fail loudly
-// (a silently shrinking suite would hollow out the regression check).
-func TestCompareGoldenMissingCell(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	var b strings.Builder
-	err := run([]string{"-compare", "testdata/bench_golden.json", "-workloads", "adpcmencode"}, &b)
-	if err == nil {
-		t.Fatal("golden cells for sha were not produced, yet compare passed")
-	}
-	if !strings.Contains(err.Error(), "not produced") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-// The mirror failure: a run producing cells the golden does not pin
-// must fail too — a silently growing suite would let new cells regress
-// unchecked.
-func TestCompareGoldenExtraCell(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	// Shrink the committed golden to adpcmencode only; running both
-	// workloads then produces sha cells the golden does not pin.
-	raw, err := os.ReadFile("testdata/bench_golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc benchFile
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	var kept []benchResult
-	for _, r := range doc.Results {
-		if r.Workload == "adpcmencode" {
-			kept = append(kept, r)
-		}
-	}
-	doc.Results = kept
-	shrunk, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "shrunk.json")
-	if err := os.WriteFile(path, shrunk, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	err = run([]string{"-compare", path, "-workloads", "adpcmencode,sha"}, &b)
-	if err == nil {
-		t.Fatal("sha cells are not pinned by the golden, yet compare passed")
-	}
-	if !strings.Contains(err.Error(), "extra cell") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
 // The full crash-resume proof, in-process: -chaos re-execs this test
 // binary as a sweep child that SIGKILLs itself mid-journal (see
 // TestMain), resumes, and verifies the stitched subset matrix against
@@ -316,7 +218,7 @@ func TestSweepUnknownTraceRejected(t *testing.T) {
 	}
 }
 
-// The documented exit codes: 1 usage/infra, 2 compare mismatch, 3
+// The documented exit codes: 1 usage/infra, 2 golden mismatch, 3
 // chaos failure — and a chaos failure whose symptom is a mismatch
 // stays 3, because scripts branch on which *gate* failed.
 func TestExitCodes(t *testing.T) {
@@ -339,25 +241,56 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// A failed golden comparison must classify as a mismatch (exit 2), not
-// a generic error: CI distinguishes "the run broke" from "the results
-// drifted".
-func TestCompareMismatchClassified(t *testing.T) {
+// A tampered golden must fail the exact-tier sweep gate, name the
+// diverging field, and classify as a mismatch (exit 2), not a generic
+// error: CI distinguishes "the run broke" from "the results drifted".
+// A cell the sweep produces but the golden does not pin fails too — a
+// silently growing sweep would let new cells regress unchecked.
+func TestSweepGoldenMismatchClassified(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	// A golden pinning sha cells that a -workloads adpcmencode run never
-	// produces: compare completes and finds divergence.
+	cells, err := expt.LoadGoldenFile(filepath.Join("..", "..", "internal", "expt", "testdata", "golden_results.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []expt.GoldenCell
+	for _, c := range cells {
+		switch c.ID() {
+		case "wl/adpcmencode/tr1":
+			c.Fields["Checksum"] += "0"
+		case "nocache/adpcmencode/tr1":
+			continue
+		}
+		kept = append(kept, c)
+	}
+	if len(kept) != len(cells)-1 {
+		t.Fatal("golden does not pin nocache/adpcmencode/tr1")
+	}
+	raw, err := json.Marshal(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "tampered.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
-	err := run([]string{"-compare", "testdata/bench_golden.json", "-workloads", "adpcmencode"}, &b)
+	err = run([]string{"-sweep", "-workloads", "adpcmencode", "-traces", "tr1", "-golden", path}, &b)
 	if err == nil {
-		t.Fatal("divergent compare passed")
+		t.Fatal("tampered golden accepted")
+	}
+	if !strings.Contains(err.Error(), "wl/adpcmencode/tr1: Checksum drifted") {
+		t.Fatalf("error does not name the diverging field: %v", err)
+	}
+	if !strings.Contains(err.Error(), "nocache/adpcmencode/tr1: produced but not pinned by the golden (extra cell)") {
+		t.Fatalf("error does not name the unpinned cell: %v", err)
 	}
 	if !errors.Is(err, errMismatch) {
-		t.Fatalf("compare divergence not classified as mismatch: %v", err)
+		t.Fatalf("golden divergence not classified as mismatch: %v", err)
 	}
 	if code := exitCodeFor(err); code != 2 {
-		t.Fatalf("compare divergence exit code = %d, want 2", code)
+		t.Fatalf("golden divergence exit code = %d, want 2", code)
 	}
 }
 

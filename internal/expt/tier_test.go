@@ -44,8 +44,8 @@ func checkTierPair(t *testing.T, kind Kind, opts Options, wl string, scale int, 
 
 // TestFastTierAdaptiveReconfiguration pins the hardest fast-tier
 // hazard: wl-dyn raises and lowers the checkpoint reserve mid-run via
-// ReserveNotifyBinder, which must settle the open window and
-// invalidate the per-block memo (stale Vbackup thresholds would
+// ReserveNotifyBinder, which must settle the open window and re-arm
+// its budget against the new threshold (a stale Vbackup would
 // otherwise leak into batched windows). Trace3 is the outage-heaviest
 // trace (~121 outages), none is the zero-outage degenerate case.
 func TestFastTierAdaptiveReconfiguration(t *testing.T) {

@@ -57,14 +57,25 @@ type EnergyProbeBinder interface {
 	BindEnergyProbe(func(newReserve float64) bool)
 }
 
-// EBAccessor is an optional fast-path counterpart of Design.Access:
-// the design writes its energy breakdown into *eb instead of returning
-// the 64-byte struct by value, sparing one copy per simulated memory
+// EBAccessor is the out-parameter counterpart of Design.Access: the
+// design adds its energy breakdown into *eb instead of returning the
+// 64-byte struct by value, sparing one copy per simulated memory
 // operation. Implementations must perform arithmetic identical to
 // Access (designs typically implement Access as a thin wrapper over
-// AccessEB); the simulator uses AccessEB when available.
+// AccessEB). The simulator only calls AccessEB; New adapts designs
+// that lack it with byValueAccess.
 type EBAccessor interface {
 	AccessEB(now int64, op isa.Op, addr uint32, val uint32, eb *energy.Breakdown) (v uint32, done int64)
+}
+
+// byValueAccess adapts a Design without AccessEB. Adding into the
+// zeroed exact-tier scratch is bit-identical to assigning (0 + x == x).
+type byValueAccess struct{ Design }
+
+func (d byValueAccess) AccessEB(now int64, op isa.Op, addr uint32, val uint32, eb *energy.Breakdown) (uint32, int64) {
+	v, done, one := d.Access(now, op, addr, val)
+	eb.Add(one)
+	return v, done
 }
 
 // ReserveNotifyBinder is implemented by designs whose ReserveEnergy

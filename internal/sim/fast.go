@@ -5,13 +5,17 @@ import (
 	"math"
 
 	"wlcache/internal/energy"
+	"wlcache/internal/isa"
 )
 
-// This file is the TierFast engine (DESIGN.md §16). The exact tier
-// keeps capacitor state as a voltage and pays a two-sqrt floating-point
-// dependency chain on every event (energy.Capacitor.Step); that chain
-// is the §11.3 performance ceiling. The fast tier restructures the same
-// physics under a committed tolerance:
+// This file is the TierFast machine (DESIGN.md §16). New picks it once
+// per run. It embeds the Simulator, so shared state is one load away
+// and the charge-up, outage sequence and final flush are the exact
+// machine's code. The exact machine keeps capacitor state as a voltage
+// and pays a two-sqrt floating-point dependency chain on every event
+// (energy.Capacitor.Step); that chain is the §11.3 performance
+// ceiling. The fast machine restructures the same physics under a
+// committed tolerance:
 //
 //   - Capacitor state lives in energy space (fcapE, joules). Harvest
 //     clamping and the Vbackup/VMin comparisons all have exact
@@ -19,7 +23,7 @@ import (
 //     between outages.
 //   - Harvest integration and capacitor settlement are batched across
 //     events. Between settles, access events accumulate their energy
-//     breakdown in place (s.ebScratch is not zeroed per event — every
+//     breakdown in place (ebScratch is not zeroed per event — every
 //     design accumulates with +=), so the per-event work is the
 //     category sum and two compares; the accumulated breakdown is
 //     flushed into Result.Energy at each settle. A settle is forced
@@ -57,7 +61,7 @@ import (
 // window's draw. A settle can land mid-access — wl-dyn raises its
 // reserve from inside AccessEB via ReserveNotifyBinder — at which point
 // ebScratch holds a partially built event that scratchDraw does not yet
-// cover; settleFast flushes the whole scratch but settles only the
+// cover; settle flushes the whole scratch but settles only the
 // covered draw, carrying the in-flight remainder into the new window.
 
 // blockMemoSize is the direct-mapped block-cost memo size. Workload
@@ -69,11 +73,8 @@ const blockMemoSize = 16
 // blockCost caches the derived costs of a Compute block of length n:
 // its duration, its core/fetch energies and their sum (the block's
 // tracked draw; leakage is derived from time at settle). The entries
-// fold the design energy constants (InstrEnergy, icache fetch energy,
-// cycle time), which are per-run constants today; refreshThresholds
-// still clears the memo on every reserve change so a future design
-// that retunes energy costs when it reconfigures can never be served a
-// stale block.
+// fold perInstrPS, cfg.InstrEnergy and instrE, all fixed in New, so a
+// filled entry stays valid for the whole run.
 type blockCost struct {
 	n       int
 	dt      int64
@@ -82,96 +83,150 @@ type blockCost struct {
 	draw    float64
 }
 
-// enterFast engages the fast loop from the capacitor's current state.
+// fastMachine is the fast tier's isa.Machine.
+type fastMachine struct {
+	*Simulator
+
+	hot            bool    // the machine owns the capacitor state (between enter and exit)
+	fcapE          float64 // capacitor energy (J); authoritative while hot
+	eVb            float64 // ½·C·Vbackup² — the monitor threshold in energy space
+	eCapMax        float64 // ½·C·VMax² — the harvest clamp in energy space
+	eFloor         float64 // ½·C·(VMin−1e-9)² — the guarded-draw floor in energy space
+	settleT        int64   // start of the open settle window
+	settleDeadline int64   // no event may reach past this without settling
+	pendingBlock   float64 // draw of fused Compute blocks since settleT
+	scratchDraw    float64 // ebScratch.Total() as of the last access event
+	drawBudget     float64 // zero-harvest-safe draw before a settle is forced
+	perInstrDrawE  float64 // worst-case (zero-harvest) energy per ALU instruction
+	leakWPerPS     float64 // leakW/1e12: J per ps, mul instead of div on the fast path
+	computeRetired uint64  // ALU instructions retired via fused blocks (+ exact-mode baseline)
+	blockMemo      [blockMemoSize]blockCost
+}
+
+func newFastMachine(s *Simulator) *fastMachine {
+	floor := s.cfg.VMin - 1e-9
+	return &fastMachine{
+		Simulator:     s,
+		eCapMax:       0.5 * s.cfg.CapacitorF * s.cfg.VMax * s.cfg.VMax,
+		eFloor:        0.5 * s.cfg.CapacitorF * floor * floor,
+		perInstrDrawE: s.cfg.InstrEnergy + s.instrE + s.leakW*float64(s.perInstrPS)/1e12,
+		leakWPerPS:    s.leakW / 1e12,
+	}
+}
+
+// enter engages the fast loop from the capacitor's current state.
 // Called once after the initial charge-up and after every outage.
-func (s *Simulator) enterFast() {
-	s.fastHot = true
-	// Exact-tier accesses leave their last event's values in the scratch;
+func (f *fastMachine) enter() {
+	f.hot = true
+	// Exact-tier code leaves its last event's values in the scratch;
 	// the accumulating fast path needs it clean.
-	s.ebScratch = energy.Breakdown{}
-	// Baseline for the derived instruction count: while fastHot,
+	f.ebScratch = energy.Breakdown{}
+	// Baseline for the derived instruction count: while hot,
 	// Result.Instructions is reconstructed at every settle as
 	// Loads + Stores + computeRetired, so access events don't touch it.
-	s.computeRetired = s.res.Instructions - s.res.Loads - s.res.Stores
-	s.syncFastFromCap()
+	f.computeRetired = f.res.Instructions - f.res.Loads - f.res.Stores
+	// The outage may have moved the reserve (OnBoot adaptation).
+	f.eVb = 0.5 * f.cfg.CapacitorF * f.vb * f.vb
+	v := f.cap.Voltage()
+	f.fcapE = 0.5 * f.cfg.CapacitorF * v * v
+	f.pendingBlock = 0
+	f.scratchDraw = 0
+	f.settleT = f.now
+	f.rearm()
 }
 
-// exitFast settles outstanding state and hands authority back to the
-// voltage-space capacitor (for the outage sequence, a probe, or the
-// final flush).
-func (s *Simulator) exitFast() {
-	s.settleFast()
-	s.syncCapFromFast()
-	s.fastHot = false
+// exit settles outstanding state and hands authority back to the
+// voltage-space capacitor (for the final flush, and for anyone who
+// inspects it post-run).
+func (f *fastMachine) exit() {
+	f.settle()
+	f.syncCap()
+	f.hot = false
 }
 
-// syncFastFromCap derives the energy-space state from the capacitor
-// voltage and re-arms the settle bounds.
-func (s *Simulator) syncFastFromCap() {
-	v := s.cap.Voltage()
-	s.fcapE = 0.5 * s.cfg.CapacitorF * v * v
-	s.pendingBlock = 0
-	s.scratchDraw = 0
-	s.settleT = s.now
-	s.rearmFast()
+// reserveChanged is the fast tier's ReserveNotifyBinder callback.
+func (f *fastMachine) reserveChanged() {
+	f.refreshThresholds()
+	if f.hot {
+		// Adaptive reserve change mid-run: settle at the current
+		// trajectory so the new budget derives from real state, then
+		// re-arm against the new threshold (settle calls rearm).
+		f.eVb = 0.5 * f.cfg.CapacitorF * f.vb * f.vb
+		f.settle()
+	}
 }
 
-// syncCapFromFast materializes the settled energy state as a voltage.
-// One sqrt, off the hot path.
-func (s *Simulator) syncCapFromFast() {
-	e := s.fcapE
+// probeReserve is the fast tier's EnergyProbeBinder callback.
+func (f *fastMachine) probeReserve(newReserve float64) bool {
+	return f.probe(newReserve, f.materialize)
+}
+
+// materialize settles the trajectory and writes it to the capacitor,
+// so a probe reads the same state the exact tier would (one sqrt,
+// probe-rate only).
+func (f *fastMachine) materialize() {
+	if f.hot {
+		f.settle()
+		f.syncCap()
+	}
+}
+
+// syncCap materializes the settled energy state as a voltage. One
+// sqrt, off the hot path.
+func (f *fastMachine) syncCap() {
+	e := f.fcapE
 	if e < 0 {
 		e = 0
 	}
-	s.cap.SetVoltage(math.Sqrt(2 * e / s.cfg.CapacitorF))
+	f.cap.SetVoltage(math.Sqrt(2 * e / f.cfg.CapacitorF))
 }
 
-// settleFast closes the open window at s.now: it flushes the
-// accumulated breakdown into Result.Energy, accounts the window's
-// leakage and on-time from the window duration (the window tiles
-// [settleT, now] contiguously with on-period events, so both are a
-// single expression — leak as leakW·dt, on-time exactly), rebuilds the
-// derived instruction count, integrates the harvest actually available,
+// settle closes the open window at now: it flushes the accumulated
+// breakdown into Result.Energy, accounts the window's leakage and
+// on-time from the window duration (the window tiles [settleT, now]
+// contiguously with on-period events, so both are a single expression
+// — leak as leakW·dt, on-time exactly), rebuilds the derived
+// instruction count, integrates the harvest actually available,
 // applies the covered draw, and re-arms the budget and deadline. Any
 // in-flight (mid-access) accumulation beyond scratchDraw is carried
 // into the new window as pending draw, not settled. The window
-// construction (see rearmFast) guarantees the single end-of-window
-// VMax clamp is equivalent to the exact tier's per-event clamping.
-func (s *Simulator) settleFast() {
-	carry := s.scratchTotal() - s.scratchDraw
-	windowDt := s.now - s.settleT
-	leakE := s.leakWPerPS * float64(windowDt)
-	drawn := s.pendingBlock + s.scratchDraw + leakE
-	s.res.Energy.Add(s.ebScratch)
-	s.res.Energy.Leak += leakE
-	s.res.OnTime += windowDt
-	s.res.Instructions = s.res.Loads + s.res.Stores + s.computeRetired
-	s.ebScratch = energy.Breakdown{}
-	s.pendingBlock = carry
-	s.scratchDraw = 0
-	s.settleT = s.now
-	if s.untraced {
+// construction (see rearm) guarantees the single end-of-window VMax
+// clamp is equivalent to the exact tier's per-event clamping.
+func (f *fastMachine) settle() {
+	carry := f.scratchTotal() - f.scratchDraw
+	windowDt := f.now - f.settleT
+	leakE := f.leakWPerPS * float64(windowDt)
+	drawn := f.pendingBlock + f.scratchDraw + leakE
+	f.res.Energy.Add(f.ebScratch)
+	f.res.Energy.Leak += leakE
+	f.res.OnTime += windowDt
+	f.res.Instructions = f.res.Loads + f.res.Stores + f.computeRetired
+	f.ebScratch = energy.Breakdown{}
+	f.pendingBlock = carry
+	f.scratchDraw = 0
+	f.settleT = f.now
+	if f.untraced {
 		// No capacitor under uninterrupted power; nothing to settle.
 		return
 	}
 	if windowDt > 0 {
-		s.fcapE += s.cfg.OnHarvestEff * s.cursor.Integrate(s.now-windowDt, s.now)
-		if s.fcapE > s.eCapMax {
-			s.fcapE = s.eCapMax
+		f.fcapE += f.cfg.OnHarvestEff * f.cursor.Integrate(f.now-windowDt, f.now)
+		if f.fcapE > f.eCapMax {
+			f.fcapE = f.eCapMax
 		}
 	}
-	s.fcapE -= drawn
-	if s.fcapE < s.eFloor {
+	f.fcapE -= drawn
+	if f.fcapE < f.eFloor {
 		// Mirror the exact tier's guarded-Step failure: a draw punched
 		// through the reserve band past VMin.
-		s.syncCapFromFast()
-		s.abort(fmt.Errorf("at t=%d ps (design %s): %w", s.now, s.design.Name(),
-			s.cap.UnderVoltageError(drawn, s.cfg.VMin)))
+		f.syncCap()
+		f.abort(fmt.Errorf("at t=%d ps (design %s): %w", f.now, f.design.Name(),
+			f.cap.UnderVoltageError(drawn, f.cfg.VMin)))
 	}
-	s.rearmFast()
+	f.rearm()
 }
 
-// rearmFast recomputes the two settle bounds from the settled state.
+// rearm recomputes the two settle bounds from the settled state.
 //
 // drawBudget is half the energy above the Vbackup threshold assuming
 // zero harvest — conservative, since harvest only raises the trajectory
@@ -187,62 +242,52 @@ func (s *Simulator) settleFast() {
 // can clamp, making the batched integral exact; events reaching past
 // the deadline are settled as single-event windows (always sound — the
 // leak bound just forces an early settle).
-func (s *Simulator) rearmFast() {
-	budget := s.fcapE - s.eVb
+func (f *fastMachine) rearm() {
+	budget := f.fcapE - f.eVb
 	if budget < 0 {
 		budget = 0
 	}
-	s.drawBudget = 0.5 * budget
-	s.settleDeadline = math.MaxInt64
-	if s.untraced {
+	f.drawBudget = 0.5 * budget
+	f.settleDeadline = math.MaxInt64
+	if f.untraced {
 		return
 	}
-	if s.leakWPerPS > 0 {
-		if f := s.drawBudget / s.leakWPerPS; f < math.MaxInt64/4 {
-			s.settleDeadline = s.settleT + int64(f)
+	if f.leakWPerPS > 0 {
+		if d := f.drawBudget / f.leakWPerPS; d < math.MaxInt64/4 {
+			f.settleDeadline = f.settleT + int64(d)
 		}
 	}
-	if s.cfg.OnHarvestEff <= 0 {
+	if f.cfg.OnHarvestEff <= 0 {
 		return
 	}
-	headroom := s.eCapMax - s.fcapE
-	if dt, ok := s.cfg.Trace.TimeToHarvest(s.settleT, headroom/s.cfg.OnHarvestEff); ok {
-		if d := s.settleT + dt; d < s.settleDeadline {
-			s.settleDeadline = d
+	headroom := f.eCapMax - f.fcapE
+	if dt, ok := f.cfg.Trace.TimeToHarvest(f.settleT, headroom/f.cfg.OnHarvestEff); ok {
+		if d := f.settleT + dt; d < f.settleDeadline {
+			f.settleDeadline = d
 		}
 	}
 }
 
 // settleAndCheck is the fast tier's voltage monitor: settle, then run
 // the outage sequence if the trajectory reached Vbackup. The energy
-// compare is the exact tier's `v >= vb` in energy space.
-func (s *Simulator) settleAndCheck() {
-	s.settleFast()
-	if s.fcapE < s.eVb {
-		s.powerFailFast(false)
+// compare is the exact tier's `v >= vb` in energy space. The outage
+// itself runs at exact fidelity — checkpoint, collapse, recharge and
+// restore are a handful of events per outage, so their sqrt-based
+// arithmetic is off the hot path, and sharing powerFail with the exact
+// tier keeps every count and error path identical.
+func (f *fastMachine) settleAndCheck() {
+	f.settle()
+	if f.fcapE < f.eVb {
+		f.syncCap()
+		f.hot = false
+		f.powerFail(false)
+		f.enter()
 	}
 }
 
-// powerFailFast runs one outage at exact fidelity: the checkpoint,
-// collapse, recharge and restore sequence is a handful of events per
-// outage, so its sqrt-based arithmetic is off the hot path, and
-// keeping it shared with the exact tier keeps every count and error
-// path identical.
-func (s *Simulator) powerFailFast(forced bool) {
-	s.syncCapFromFast()
-	s.fastHot = false
-	s.powerFail(forced)
-	s.enterFast()
-}
-
-// closeWindowBefore settles the open window when the event ending at
-// `to` would reach past the settle deadline, so that event is settled
-// alone and its VMax clamp matches the exact tier's single-event
-// semantics. No-op for an empty window (the event is already alone).
-func (s *Simulator) closeWindowBefore(to int64) {
-	if to >= s.settleDeadline && (s.now > s.settleT || s.pendingBlock > 0 || s.scratchDraw > 0) {
-		s.settleFast()
-	}
+// windowOpen reports whether the open window holds any time or draw.
+func (f *fastMachine) windowOpen() bool {
+	return f.now > f.settleT || f.pendingBlock > 0 || f.scratchDraw > 0
 }
 
 // scratchTotal sums the accumulated scratch categories with a balanced
@@ -250,112 +295,108 @@ func (s *Simulator) closeWindowBefore(to int64) {
 // differs from Breakdown.Total, which the exact tier keeps; the fast
 // tier's outputs are ε-bounded, and the budget compare this feeds is
 // conservative by half a band, so the reordering is immaterial.
-func (s *Simulator) scratchTotal() float64 {
-	b := &s.ebScratch
+func (f *fastMachine) scratchTotal() float64 {
+	b := &f.ebScratch
 	return ((b.CacheRead + b.CacheWrite) + (b.MemRead + b.MemWrite)) +
 		((b.Compute + b.Checkpoint) + (b.Restore + b.Leak))
 }
 
-// accessTail is the fast tier's per-access bookkeeping. The event's
-// breakdown is already accumulated in s.ebScratch; leakage, on-time and
-// the instruction count are derived from the window duration at settle
-// time, so the common case here is the category sum, two stores, and
-// two compares — no capacitor step, no Breakdown copy, no per-event
-// read-modify-writes. end is strictly after s.now (at least one
-// pipeline slot), so the exact tier's backwards-time guard is not
-// needed here.
-func (s *Simulator) accessTail(end int64) {
-	if s.untraced {
-		// The scratch keeps accumulating; exitFast flushes it once.
-		s.now = end
-		return
-	}
-	t := s.scratchTotal()
-	if end >= s.settleDeadline {
-		s.isolateAccess(t, end)
-		return
-	}
-	s.scratchDraw = t
-	s.now = end
-	if s.pendingBlock+t < s.drawBudget {
-		return
-	}
-	s.settleAndCheck()
+// Load32 performs an architectural load through the design.
+func (f *fastMachine) Load32(addr uint32) uint32 {
+	f.opContext()
+	f.res.Loads++
+	return f.checkLoad(addr, f.access(isa.OpLoad, addr, 0))
 }
 
-// isolateAccess settles an access event that would reach past the
-// settle deadline into its own single-event window: close the open
-// window at the event's start (settleFast carries the event's draw,
-// which is already in the scratch, into the new window), then settle
-// and check the isolated event at its end.
-func (s *Simulator) isolateAccess(t float64, end int64) {
-	if s.now > s.settleT || s.pendingBlock > 0 || s.scratchDraw > 0 {
-		s.settleFast()
+// Store32 performs an architectural store through the design.
+func (f *fastMachine) Store32(addr uint32, v uint32) {
+	f.opContext()
+	f.recordStore(addr, v)
+	f.access(isa.OpStore, addr, v)
+}
+
+// access is the fast tier's memory operation. The event's breakdown
+// accumulates in ebScratch; leakage, on-time and the instruction count
+// are derived from the window duration at settle time, so the common
+// case after the design access is the category sum, two stores and two
+// compares — no capacitor step, no Breakdown copy, no per-event
+// read-modify-writes. end is strictly after now (at least one pipeline
+// slot), so the exact tier's backwards-time guard is not needed here.
+func (f *fastMachine) access(op isa.Op, addr uint32, val uint32) uint32 {
+	v, end := f.accessEvent(op, addr, val)
+	if f.untraced {
+		// The scratch keeps accumulating; exit flushes it once.
+		f.now = end
+		return v
+	}
+	// An event that would reach past the settle deadline is settled
+	// into its own single-event window: close the open window at the
+	// event's start (settle carries the event's draw, already in the
+	// scratch, into the new window), then settle and check the isolated
+	// event at its end.
+	t := f.scratchTotal()
+	isolate := end >= f.settleDeadline
+	if isolate && f.windowOpen() {
+		f.settle()
 	} else {
-		s.scratchDraw = t
+		f.scratchDraw = t
 	}
-	s.now = end
-	s.settleAndCheck()
+	f.now = end
+	if !isolate && f.pendingBlock+t < f.drawBudget {
+		return v
+	}
+	f.settleAndCheck()
+	return v
 }
 
-// computeFast fuses Compute blocks. A block (or remainder) is advanced
-// in one step when the zero-harvest budget covers its whole draw and
-// it ends before the settle deadline; otherwise the loop degrades to
-// the exact tier's ComputeChunk granularity with a real settle-and-
-// check per chunk, so outage placement near the threshold happens at
-// the same boundaries as the exact tier.
-func (s *Simulator) computeFast(n int) {
+// Compute fuses Compute blocks. A block (or remainder) is advanced in
+// one step when the zero-harvest budget covers its whole draw and it
+// ends before the settle deadline; otherwise the loop degrades to the
+// exact tier's ComputeChunk granularity with a real settle-and-check
+// per chunk, so outage placement near the threshold happens at the
+// same boundaries as the exact tier.
+func (f *fastMachine) Compute(n int) {
 	if n < 0 {
-		s.abort(fmt.Errorf("negative Compute(%d)", n))
+		f.abort(fmt.Errorf("negative Compute(%d)", n))
 	}
-	if n == 0 {
-		return
-	}
-	if s.untraced {
-		s.stepBlock(n)
+	if f.untraced {
+		f.stepBlock(n)
 		return
 	}
 	// Common case — the whole block fits the zero-harvest budget and
 	// ends before the settle deadline: one memo lookup, seven adds, no
 	// division, no loop.
-	m := &s.blockMemo[n&(blockMemoSize-1)]
-	if m.n == n {
-		to := s.now + m.dt
-		if s.pendingBlock+s.scratchDraw+m.draw < s.drawBudget && to < s.settleDeadline {
-			s.pendingBlock += m.draw
-			s.res.Energy.Compute += m.compute
-			s.res.Energy.CacheRead += m.fetch
-			s.computeRetired += uint64(n)
-			s.now = to
-			return
-		}
+	m := &f.blockMemo[n&(blockMemoSize-1)]
+	if m.n == n && f.pendingBlock+f.scratchDraw+m.draw < f.drawBudget && f.now+m.dt < f.settleDeadline {
+		f.retire(m, n)
+		return
 	}
-	s.computeFastSlow(n)
+	f.computeSlow(n)
 }
 
-// computeFastSlow is the near-threshold (or cold-memo) remainder of
-// computeFast: fuse what the budget proves safe, degrade to the exact
+// computeSlow is the near-threshold (or cold-memo) remainder of
+// Compute: fuse what the budget proves safe, degrade to the exact
 // tier's ComputeChunk monitor granularity when cramped.
-func (s *Simulator) computeFastSlow(n int) {
+func (f *fastMachine) computeSlow(n int) {
 	for n > 0 {
 		room := int64(n)
-		if s.perInstrDrawE > 0 {
-			if r := int64((s.drawBudget - s.pendingBlock - s.scratchDraw) / s.perInstrDrawE); r < room {
+		if f.perInstrDrawE > 0 {
+			if r := int64((f.drawBudget - f.pendingBlock - f.scratchDraw) / f.perInstrDrawE); r < room {
 				room = r
 			}
 		}
-		if byTime := (s.settleDeadline - s.now) / s.perInstrPS; byTime < room {
+		if byTime := (f.settleDeadline - f.now) / f.perInstrPS; byTime < room {
 			room = byTime
 		}
-		if room < int64(s.cfg.ComputeChunk) && room < int64(n) {
+		if room < int64(f.cfg.ComputeChunk) && room < int64(n) {
 			// Near a bound: one chunk at monitor granularity, then a
 			// true settle-and-check, exactly like the exact tier.
 			chunk := n
-			if chunk > s.cfg.ComputeChunk {
-				chunk = s.cfg.ComputeChunk
+			if chunk > f.cfg.ComputeChunk {
+				chunk = f.cfg.ComputeChunk
 			}
-			s.stepBlock(chunk)
-			s.settleAndCheck()
+			f.stepBlock(chunk)
+			f.settleAndCheck()
 			n -= chunk
 			continue
 		}
@@ -363,35 +404,42 @@ func (s *Simulator) computeFastSlow(n int) {
 		if room < run {
 			run = room
 		}
-		s.stepBlock(int(run))
+		f.stepBlock(int(run))
 		n -= int(run)
 	}
 }
 
 // stepBlock advances one fused block of n ALU instructions, serving
 // every derived cost — duration, per-category energies, total draw —
-// from the block-cost memo. Leakage, on-time and the instruction count
-// are derived from the window duration at settle time (see settleFast),
-// so a block is five adds. The memoized expressions are the exact
+// from the block-cost memo. The memoized expressions are the exact
 // tier's per-chunk formulas evaluated once per distinct block length.
-// Block draw is tracked in pendingBlock, not the scratch, so it never
-// perturbs the access path's cached scratch total.
-func (s *Simulator) stepBlock(n int) {
-	m := &s.blockMemo[n&(blockMemoSize-1)]
+// A block that would reach past the settle deadline is settled alone,
+// so its VMax clamp matches the exact tier's single-event semantics
+// (under uninterrupted power the deadline is never reached).
+func (f *fastMachine) stepBlock(n int) {
+	m := &f.blockMemo[n&(blockMemoSize-1)]
 	if m.n != n {
 		m.n = n
-		m.dt = int64(n) * s.perInstrPS
-		m.compute = float64(n) * s.cfg.InstrEnergy
-		m.fetch = float64(n) * s.instrE
+		m.dt = int64(n) * f.perInstrPS
+		m.compute = float64(n) * f.cfg.InstrEnergy
+		m.fetch = float64(n) * f.instrE
 		m.draw = m.compute + m.fetch
 	}
-	to := s.now + m.dt
-	if !s.untraced {
-		s.closeWindowBefore(to)
-		s.pendingBlock += m.draw
+	if f.now+m.dt >= f.settleDeadline && f.windowOpen() {
+		f.settle()
 	}
-	s.res.Energy.Compute += m.compute
-	s.res.Energy.CacheRead += m.fetch
-	s.computeRetired += uint64(n)
-	s.now = to
+	f.retire(m, n)
+}
+
+// retire accounts one fused block. Leakage, on-time and the
+// instruction count are derived from the window duration at settle
+// time (see settle), so a block is five adds. Block draw is tracked in
+// pendingBlock, not the scratch, so it never perturbs the access
+// path's cached scratch total.
+func (f *fastMachine) retire(m *blockCost, n int) {
+	f.pendingBlock += m.draw
+	f.res.Energy.Compute += m.compute
+	f.res.Energy.CacheRead += m.fetch
+	f.computeRetired += uint64(n)
+	f.now += m.dt
 }

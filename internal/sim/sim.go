@@ -34,44 +34,21 @@ type Simulator struct {
 	// run or change only at announced points. cursor integrates the
 	// trace without re-locating the current segment on every event; vb
 	// is Vbackup(design.ReserveEnergy()) — a sqrt — refreshed by
-	// refreshThresholds at reserve changes; leakW, perInstrPS, instrE,
-	// chunkComputeE and chunkFetchE hoist interface calls and products
-	// that are loop-invariant out of access/Compute; trackGolden gates
-	// golden-image maintenance to runs that consult it.
-	cursor        *power.Cursor
-	accessEB      EBAccessor // non-nil when the design supports the out-param fast path
-	vb            float64
-	leakW         float64
-	perInstrPS    int64
-	instrE        float64
-	chunkComputeE float64
-	chunkFetchE   float64
-	trackGolden   bool
-	noFault       bool // cfg.FaultPlan == nil
-	untraced      bool // cfg.Trace == nil
+	// refreshThresholds at reserve changes; leakW, perInstrPS and instrE
+	// hoist interface calls that are loop-invariant out of
+	// access/Compute.
+	cursor     *power.Cursor
+	accessEB   EBAccessor // the design, adapted by New if it lacks AccessEB
+	vb         float64
+	leakW      float64
+	perInstrPS int64
+	instrE     float64
+	untraced   bool // cfg.Trace == nil
 
-	// Fast-tier state (TierFast only; see fast.go and DESIGN.md §16).
-	// fastEligible is decided once in New: the fast loop only engages
-	// on plain measurement runs (no fault plan, no recorder — both
-	// observe per-event capacitor state the fast tier defers).
-	// fastHot marks the windows where the fast loop owns the capacitor
-	// state; outage sequences and the final flush drop back to the
-	// exact voltage-space code via an energy<->voltage sync.
-	fastEligible   bool
-	fastHot        bool
-	fcapE          float64 // capacitor energy (J); authoritative while fastHot
-	eVb            float64 // ½·C·Vbackup² — the monitor threshold in energy space
-	eCapMax        float64 // ½·C·VMax² — the harvest clamp in energy space
-	eFloor         float64 // ½·C·(VMin−1e-9)² — the guarded-draw floor in energy space
-	settleT        int64   // start of the open settle window
-	settleDeadline int64   // no event may reach past this without settling
-	pendingBlock   float64 // draw of fused Compute blocks since settleT
-	scratchDraw    float64 // ebScratch.Total() as of the last access event
-	drawBudget     float64 // zero-harvest-safe draw before a settle is forced
-	perInstrDrawE  float64 // worst-case (zero-harvest) energy per ALU instruction
-	leakWPerPS     float64 // leakW/1e12: J per ps, mul instead of div on the fast path
-	computeRetired uint64  // ALU instructions retired via fused blocks (+ exact-mode baseline)
-	blockMemo      [blockMemoSize]blockCost
+	// machine is the tier's isa.Machine, chosen once in New: the
+	// Simulator itself at the exact tier, a fastMachine (fast.go) when
+	// the fast tier can engage. Run hands it to the program.
+	machine tierMachine
 
 	// ebScratch is the per-event breakdown buffer handed to AccessEB.
 	// Passing a pointer to a local through the interface call would make
@@ -84,6 +61,15 @@ type Simulator struct {
 	inCheckpoint bool
 
 	res Result
+}
+
+// tierMachine is the per-event engine of one tier. enter runs after
+// the initial charge-up and after every outage; exit runs before the
+// final flush. Between the two the machine owns the capacitor state.
+type tierMachine interface {
+	isa.Machine
+	enter()
+	exit()
 }
 
 // simAbort carries a fatal simulation error through the workload's
@@ -109,32 +95,32 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 	}
 	s.perInstrPS = cfg.CyclePS + cfg.ICache.perInstrStall(cfg.CyclePS)
 	s.instrE = cfg.ICache.instrEnergy()
-	s.chunkComputeE = float64(cfg.ComputeChunk) * cfg.InstrEnergy
-	s.chunkFetchE = float64(cfg.ComputeChunk) * s.instrE
 	s.leakW = design.LeakPower()
-	s.trackGolden = cfg.CheckInvariants
-	s.noFault = cfg.FaultPlan == nil
 	s.untraced = cfg.Trace == nil
-	s.fastEligible = cfg.Tier == TierFast && s.noFault && cfg.Obs == nil
-	s.eCapMax = 0.5 * cfg.CapacitorF * cfg.VMax * cfg.VMax
-	floor := cfg.VMin - 1e-9
-	s.eFloor = 0.5 * cfg.CapacitorF * floor * floor
-	s.perInstrDrawE = cfg.InstrEnergy + s.instrE + s.leakW*float64(s.perInstrPS)/1e12
-	s.leakWPerPS = s.leakW / 1e12
 	if cfg.Trace != nil {
 		s.cursor = power.NewCursor(cfg.Trace)
 	}
-	if eba, ok := design.(EBAccessor); ok {
-		s.accessEB = eba
+	s.accessEB, _ = design.(EBAccessor)
+	if s.accessEB == nil {
+		s.accessEB = byValueAccess{design}
 	}
 	s.refreshThresholds()
 	// The initial boot happens with a full capacitor.
 	s.cap.SetVoltage(cfg.VMax)
+	// The tier is decided here and nowhere else. The fast machine only
+	// engages on plain measurement runs: a fault plan and a recorder
+	// both observe per-event capacitor state the fast tier defers.
+	s.machine = s
+	probe, reserveChanged := s.probeReserve, s.refreshThresholds
+	if cfg.Tier == TierFast && cfg.FaultPlan == nil && cfg.Obs == nil {
+		f := newFastMachine(s)
+		s.machine, probe, reserveChanged = f, f.probeReserve, f.reserveChanged
+	}
 	if binder, ok := design.(EnergyProbeBinder); ok {
-		binder.BindEnergyProbe(s.probeReserve)
+		binder.BindEnergyProbe(probe)
 	}
 	if binder, ok := design.(ReserveNotifyBinder); ok {
-		binder.BindReserveChanged(s.refreshThresholds)
+		binder.BindReserveChanged(reserveChanged)
 	}
 	// Observability wiring: one recorder reaches the capacitor (voltage
 	// gauge), the NVM port (contention histogram) and the design (its
@@ -166,21 +152,6 @@ func New(cfg Config, design Design, nvm *mem.NVM) (*Simulator, error) {
 // never consulted stale.
 func (s *Simulator) refreshThresholds() {
 	s.vb = s.cfg.Vbackup(s.design.ReserveEnergy())
-	if !s.fastEligible {
-		return
-	}
-	s.eVb = 0.5 * s.cfg.CapacitorF * s.vb * s.vb
-	// Energy constants are per-run constants today, but the memo folds
-	// them; clear it so a future design that retunes costs when it
-	// reconfigures can never be served a stale block.
-	s.blockMemo = [blockMemoSize]blockCost{}
-	if s.fastHot {
-		// Adaptive reserve change mid-run: settle at the current
-		// trajectory so the new budget derives from real state, then
-		// re-arm against the new threshold (settleFast calls rearmFast,
-		// which reads the eVb just set).
-		s.settleFast()
-	}
 }
 
 // Vbackup returns the checkpoint threshold currently enforced by the
@@ -190,6 +161,12 @@ func (s *Simulator) Vbackup() float64 { return s.vb }
 // probeReserve reports whether the capacitor currently holds enough
 // charge to adopt a larger JIT reserve (dynamic adaptation).
 func (s *Simulator) probeReserve(newReserve float64) bool {
+	return s.probe(newReserve, func() {})
+}
+
+// probe is probeReserve for both machines. materialize brings the
+// capacitor up to date; it runs only when the answer reads the charge.
+func (s *Simulator) probe(newReserve float64, materialize func()) bool {
 	if s.cfg.Trace == nil {
 		return true // unlimited power
 	}
@@ -197,12 +174,7 @@ func (s *Simulator) probeReserve(newReserve float64) bool {
 	if s.cfg.Von(vb) <= vb {
 		return false
 	}
-	if s.fastHot {
-		// Materialize the settled trajectory so the probe reads the
-		// same state the exact tier would (one sqrt, probe-rate only).
-		s.settleFast()
-		s.syncCapFromFast()
-	}
+	materialize()
 	// Require some compute headroom above the raised threshold so the
 	// raise does not immediately trigger a checkpoint.
 	const headroom = 100e-9
@@ -229,48 +201,24 @@ func (s *Simulator) Run(name string, program func(m isa.Machine) uint32) (res Re
 	// Initial charge-up: a harvesting device starts dead and must
 	// first fill the capacitor to Von. This is what makes very large
 	// buffers slow (Figure 10(b)): their charging time dominates.
+	// The charge-up is an off window like any other, so it is recorded
+	// as one: without it the cycle ledger could not attribute the
+	// pre-boot dead time and sum(categories) would undershoot OffTime.
 	if s.cfg.Trace != nil {
-		s.cap.SetVoltage(s.cfg.VMin)
-		von := s.cfg.Von(s.cfg.Vbackup(s.design.ReserveEnergy()))
-		need := 0.5 * s.cfg.CapacitorF * (von*von - s.cap.Voltage()*s.cap.Voltage())
-		dt, ok := s.cfg.Trace.TimeToHarvest(s.now, need)
-		if !ok {
+		if _, ok := s.recharge(); !ok {
 			return s.res, fmt.Errorf("trace %s can never charge the capacitor", s.cfg.Trace.Name)
 		}
-		s.res.OffTime += dt
-		s.now += dt
-		s.cap.SetVoltage(von)
-		// The charge-up is an off window like any other: without this
-		// event the cycle ledger could not attribute the pre-boot dead
-		// time and sum(categories) would undershoot OffTime.
-		s.cfg.Obs.Outage(0, s.now)
-		s.cfg.Obs.VoltageMark(s.now, von)
 		s.bootTime = s.now
 	}
-	if s.fastEligible {
-		s.enterFast()
-	}
-
-	sum := program(s)
-	if s.fastHot {
-		// Hand authority back to the voltage-space capacitor before the
-		// final flush (and before anyone inspects it post-run).
-		s.exitFast()
-	}
+	s.machine.enter()
+	sum := program(s.machine)
+	s.machine.exit()
 	s.res.Checksum = sum
 	s.res.ExecTime = s.now
 
 	// Final shutdown flush: not part of the measured execution time,
 	// but it completes durability so the NVM image can be audited.
-	if s.cfg.FaultPlan != nil {
-		s.cfg.FaultPlan.CheckpointStart(s.now, false)
-	}
-	linesBefore := s.checkpointLines()
-	ckptDone, ckptEB := s.design.Checkpoint(s.now)
-	if s.cfg.FaultPlan != nil {
-		s.cfg.FaultPlan.CheckpointEnd(s.now)
-	}
-	s.cfg.Obs.CheckpointDone(s.now, ckptDone, false, ckptEB.Total(), s.linesDelta(linesBefore))
+	s.checkpoint(false, false)
 	if s.cfg.CheckInvariants {
 		if derr := s.design.DurableEqual(s.golden); derr != nil {
 			return s.res, fmt.Errorf("final durability check failed (%v): %w", derr, ErrCrashConsistency)
@@ -283,58 +231,31 @@ func (s *Simulator) Run(name string, program func(m isa.Machine) uint32) (res Re
 	return s.res, nil
 }
 
-// Golden exposes the architectural reference image. It is maintained
-// only when Config.CheckInvariants is set (the only mode that consults
-// it); plain benchmark runs skip the per-store bookkeeping.
-func (s *Simulator) Golden() *mem.Store { return s.golden }
-
 // Capacitor exposes the energy buffer (tests).
 func (s *Simulator) Capacitor() *energy.Capacitor { return s.cap }
 
-// Now returns the current simulated time in ps.
-func (s *Simulator) Now() int64 { return s.now }
+// --- isa.Machine implementation (the exact tier) ---
 
-// --- isa.Machine implementation ---
+func (s *Simulator) enter() {}
+func (s *Simulator) exit()  {}
 
 // Load32 performs an architectural load through the design.
 func (s *Simulator) Load32(addr uint32) uint32 {
-	if s.cfg.Obs.WantsOpContext() {
-		s.cfg.Obs.OpContext(memOpPC())
-	}
-	// Counted before the access so the fast tier's settle — which can
-	// run inside access and derives Instructions from Loads + Stores +
-	// retired compute blocks — sees the completing event (the order is
-	// invisible to the exact tier; nothing reads Loads mid-event).
+	s.opContext()
 	s.res.Loads++
-	v := s.access(isa.OpLoad, addr, 0)
-	if s.cfg.CheckInvariants {
-		if g := s.golden.Read(addr); g != v {
-			s.abort(fmt.Errorf("load %#x returned %#x, architectural value is %#x (design %s): %w",
-				addr, v, g, s.design.Name(), ErrCrashConsistency))
-		}
-	}
-	return v
+	return s.checkLoad(addr, s.access(isa.OpLoad, addr, 0))
 }
 
 // Store32 performs an architectural store through the design.
 func (s *Simulator) Store32(addr uint32, v uint32) {
-	if s.cfg.Obs.WantsOpContext() {
-		s.cfg.Obs.OpContext(memOpPC())
-	}
-	if s.trackGolden {
-		s.golden.Write(addr, v)
-	}
-	s.res.Stores++ // before the access; see Load32
+	s.opContext()
+	s.recordStore(addr, v)
 	s.access(isa.OpStore, addr, v)
 }
 
 // Compute accounts for n ALU instructions, checking the voltage
 // monitor every ComputeChunk instructions.
 func (s *Simulator) Compute(n int) {
-	if s.fastHot {
-		s.computeFast(n)
-		return
-	}
 	if n < 0 {
 		s.abort(fmt.Errorf("negative Compute(%d)", n))
 	}
@@ -343,16 +264,7 @@ func (s *Simulator) Compute(n int) {
 		if chunk > s.cfg.ComputeChunk {
 			chunk = s.cfg.ComputeChunk
 		}
-		var eb energy.Breakdown
-		if chunk == s.cfg.ComputeChunk {
-			// Full chunks reuse the precomputed products (identical
-			// expressions, evaluated once in New).
-			eb.Compute = s.chunkComputeE
-			eb.CacheRead = s.chunkFetchE
-		} else {
-			eb.Compute = float64(chunk) * s.cfg.InstrEnergy
-			eb.CacheRead = float64(chunk) * s.instrE
-		}
+		eb := energy.Breakdown{Compute: float64(chunk) * s.cfg.InstrEnergy, CacheRead: float64(chunk) * s.instrE}
 		s.advance(s.now+int64(chunk)*s.perInstrPS, &eb, &s.res.OnTime)
 		s.res.Instructions += uint64(chunk)
 		s.checkPower()
@@ -363,40 +275,76 @@ func (s *Simulator) Compute(n int) {
 // access runs one memory operation: the design models the hierarchy;
 // the simulator adds the 1-cycle pipeline slot and core energy.
 func (s *Simulator) access(op isa.Op, addr uint32, val uint32) uint32 {
-	var v uint32
-	var done int64
-	eb := &s.ebScratch
-	if s.accessEB != nil {
-		// The fast tier accumulates events in the scratch between
-		// settles (designs accumulate with +=); the exact tier zeroes it
-		// per event.
-		if !s.fastHot {
-			*eb = energy.Breakdown{}
-		}
-		v, done = s.accessEB.AccessEB(s.now, op, addr, val, eb)
-	} else {
-		var one energy.Breakdown
-		v, done, one = s.design.Access(s.now, op, addr, val)
-		if s.fastHot {
-			eb.Add(one)
-		} else {
-			*eb = one
-		}
+	s.ebScratch = energy.Breakdown{}
+	v, end := s.accessEvent(op, addr, val)
+	s.advance(end, &s.ebScratch, &s.res.OnTime)
+	s.res.Instructions++
+	s.checkPower()
+	return v
+}
+
+// --- shared by both machines ---
+
+// opContext samples the workload call site of the memory operation in
+// flight for the recorder. Both machines' Load32/Store32 call it
+// directly, which is the stack depth memOpPC assumes; the nil test
+// inlines, so unrecorded runs pay no call.
+func (s *Simulator) opContext() {
+	if s.cfg.Obs != nil {
+		s.sampleOpContext()
 	}
+}
+
+func (s *Simulator) sampleOpContext() {
+	if s.cfg.Obs.WantsOpContext() {
+		s.cfg.Obs.OpContext(memOpPC())
+	}
+}
+
+// checkLoad compares a loaded value against the architectural golden
+// image when invariant checking is on. The test inlines; the check
+// itself does not.
+func (s *Simulator) checkLoad(addr, v uint32) uint32 {
+	if s.cfg.CheckInvariants {
+		s.checkGolden(addr, v)
+	}
+	return v
+}
+
+func (s *Simulator) checkGolden(addr, v uint32) {
+	if g := s.golden.Read(addr); g != v {
+		s.abort(fmt.Errorf("load %#x returned %#x, architectural value is %#x (design %s): %w",
+			addr, v, g, s.design.Name(), ErrCrashConsistency))
+	}
+}
+
+// recordStore updates the golden image — only runs that consult it
+// maintain it — and counts the store. Loads and stores are counted
+// before their access so the fast tier's settle, which can run inside
+// an access and derives Instructions from Loads + Stores + retired
+// compute blocks, sees the completing event.
+func (s *Simulator) recordStore(addr, v uint32) {
+	if s.cfg.CheckInvariants {
+		s.golden.Write(addr, v)
+	}
+	s.res.Stores++
+}
+
+// accessEvent runs the design's side of one memory operation into the
+// scratch breakdown and adds the pipeline slot's core and fetch energy.
+// It returns the loaded value and the event's end time. The scratch is
+// accumulated into, never reset here: the exact tier zeroes it per
+// event, the fast tier per settle window.
+func (s *Simulator) accessEvent(op isa.Op, addr uint32, val uint32) (uint32, int64) {
+	eb := &s.ebScratch
+	v, done := s.accessEB.AccessEB(s.now, op, addr, val, eb)
 	end := s.now + s.perInstrPS
 	if done > end {
 		end = done
 	}
 	eb.Compute += s.cfg.InstrEnergy
 	eb.CacheRead += s.instrE
-	if s.fastHot {
-		s.accessTail(end)
-		return v
-	}
-	s.advance(end, eb, &s.res.OnTime)
-	s.res.Instructions++
-	s.checkPower()
-	return v
+	return v, end
 }
 
 // advance moves time to `to`, integrating harvest and drawing the
@@ -430,7 +378,7 @@ func (s *Simulator) advance(to int64, eb *energy.Breakdown, phase *int64) {
 // case — no fault plan, voltage above threshold — must inline into the
 // per-event loop, so everything else lives in checkPowerSlow.
 func (s *Simulator) checkPower() {
-	if s.noFault && (s.untraced || s.cap.Voltage() >= s.vb) {
+	if s.cfg.FaultPlan == nil && (s.untraced || s.cap.Voltage() >= s.vb) {
 		return
 	}
 	s.checkPowerSlow()
@@ -463,19 +411,7 @@ func (s *Simulator) powerFail(forced bool) {
 	s.cfg.Obs.PowerFailure(s.now, s.cap.Voltage(), forced)
 
 	// JIT checkpoint, powered by the reserved energy band.
-	if s.cfg.FaultPlan != nil {
-		s.cfg.FaultPlan.CheckpointStart(s.now, forced)
-	}
-	ckptStart := s.now
-	linesBefore := s.checkpointLines()
-	s.inCheckpoint = true
-	done, eb := s.design.Checkpoint(s.now)
-	s.advance(done, &eb, &s.res.CheckpointTime)
-	s.inCheckpoint = false
-	if s.cfg.FaultPlan != nil {
-		s.cfg.FaultPlan.CheckpointEnd(s.now)
-	}
-	s.cfg.Obs.CheckpointDone(ckptStart, s.now, forced, eb.Total(), s.linesDelta(linesBefore))
+	s.checkpoint(forced, true)
 	if s.cfg.Trace != nil && s.cap.Voltage() < s.cfg.VMin-1e-9 {
 		s.abort(fmt.Errorf("V=%.3f < VMin=%.3f after checkpoint (design %s): %w",
 			s.cap.Voltage(), s.cfg.VMin, s.design.Name(), ErrReserveExhausted))
@@ -493,29 +429,14 @@ func (s *Simulator) powerFail(forced bool) {
 		// on computation (§1, §2.3.3). Recharge therefore restarts from
 		// VMin, and a design with a larger reserve wastes more per outage.
 		s.res.ReserveWasted += s.cap.EnergyAbove(s.cfg.VMin)
-		s.cap.SetVoltage(s.cfg.VMin)
-
-		// Power off: recharge to Von. The voltage threshold reflects the
-		// *current* reserve (it may have been adapted at this boot).
-		von := s.cfg.Von(s.cfg.Vbackup(s.design.ReserveEnergy()))
-		need := 0.5 * s.cfg.CapacitorF * (von*von - s.cap.Voltage()*s.cap.Voltage())
-		offStart := s.now
-		if need > 0 {
-			dt, ok := s.cfg.Trace.TimeToHarvest(s.now, need)
-			if !ok {
-				s.abort(fmt.Errorf("trace %s can never recharge %.3g J", s.cfg.Trace.Name, need))
-			}
-			s.res.OffTime += dt
-			s.now += dt
+		if need, ok := s.recharge(); !ok {
+			s.abort(fmt.Errorf("trace %s can never recharge %.3g J", s.cfg.Trace.Name, need))
 		}
-		s.cap.SetVoltage(von)
-		s.cfg.Obs.Outage(offStart, s.now)
-		s.cfg.Obs.VoltageMark(s.now, von)
 	}
 
 	// Boot: restore state, then let the runtime system adapt.
 	restoreStart := s.now
-	done, eb = s.design.Restore(s.now)
+	done, eb := s.design.Restore(s.now)
 	s.advance(done, &eb, &s.res.RestoreTime)
 	// A volatile instruction cache comes back cold: refetch the code
 	// working set from NVM.
@@ -546,6 +467,51 @@ func (s *Simulator) powerFail(forced bool) {
 	s.instrAtBoot = s.res.Instructions
 }
 
+// checkpoint runs one JIT checkpoint inside the fault plan's and the
+// recorder's brackets. An outage's checkpoint is timed: it takes
+// simulated time and spends the reserved band. The final shutdown
+// flush is neither.
+func (s *Simulator) checkpoint(forced, timed bool) {
+	if s.cfg.FaultPlan != nil {
+		s.cfg.FaultPlan.CheckpointStart(s.now, forced)
+	}
+	start := s.now
+	linesBefore := s.checkpointLines()
+	done, eb := s.design.Checkpoint(s.now)
+	if timed {
+		s.inCheckpoint = true
+		s.advance(done, &eb, &s.res.CheckpointTime)
+		s.inCheckpoint = false
+	}
+	if s.cfg.FaultPlan != nil {
+		s.cfg.FaultPlan.CheckpointEnd(s.now)
+	}
+	s.cfg.Obs.CheckpointDone(start, done, forced, eb.Total(), s.linesDelta(linesBefore))
+}
+
+// recharge models one off period: from VMin, harvest until the
+// capacitor reaches Von. The threshold reflects the *current* reserve
+// (it may have been adapted at this boot). It reports false, with the
+// energy it needed, when the trace can never deliver it.
+func (s *Simulator) recharge() (need float64, ok bool) {
+	s.cap.SetVoltage(s.cfg.VMin)
+	von := s.cfg.Von(s.cfg.Vbackup(s.design.ReserveEnergy()))
+	need = 0.5 * s.cfg.CapacitorF * (von*von - s.cap.Voltage()*s.cap.Voltage())
+	offStart := s.now
+	if need > 0 {
+		dt, ok := s.cfg.Trace.TimeToHarvest(s.now, need)
+		if !ok {
+			return need, false
+		}
+		s.res.OffTime += dt
+		s.now += dt
+	}
+	s.cap.SetVoltage(von)
+	s.cfg.Obs.Outage(offStart, s.now)
+	s.cfg.Obs.VoltageMark(s.now, von)
+	return need, true
+}
+
 // checkpointLines reads the design's cumulative flushed-line counter,
 // or -1 when the design does not expose one. Paired with linesDelta it
 // attributes flushed lines to individual checkpoints for the recorder.
@@ -570,13 +536,14 @@ func (s *Simulator) linesDelta(before int64) int {
 
 // memOpPC captures the workload call site of the memory operation in
 // flight — the closest host analogue of the store PC a hardware
-// profiler would latch. Skip 3 hops (Callers, memOpPC, Load32/Store32)
-// to land on the workload; -1 turns the return address into the call
+// profiler would latch. Skip 5 logical frames (Callers, memOpPC,
+// sampleOpContext, the inlined opContext, Load32/Store32) to land on
+// the workload; -1 turns the return address into the call
 // instruction so ResolvePC names the right source line. Only called
 // when observability is on.
 func memOpPC() uint64 {
 	var pcs [1]uintptr
-	if runtime.Callers(3, pcs[:]) < 1 {
+	if runtime.Callers(5, pcs[:]) < 1 {
 		return 0
 	}
 	return uint64(pcs[0] - 1)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 	"wlcache/internal/energy"
 	"wlcache/internal/isa"
 	"wlcache/internal/mem"
+	"wlcache/internal/obs"
 	"wlcache/internal/power"
 )
 
@@ -27,6 +30,9 @@ func newWLStatic(nvm *mem.NVM) Design {
 func newBroken(nvm *mem.NVM) Design {
 	return designs.NewBrokenVolatileWB(cache.DefaultGeometry(), cache.LRU, energy.DefaultJITCosts(), nvm)
 }
+
+// tiers is the extra input of the tests that hold on both machines.
+var tiers = []Tier{TierExact, TierFast}
 
 // smallProgram touches enough memory and compute to cross several
 // power failures on the RF traces.
@@ -175,20 +181,25 @@ func TestChecksumsAgreeAcrossDesignsAndTraces(t *testing.T) {
 }
 
 func TestInvariantCheckCatchesBrokenDesign(t *testing.T) {
-	nvm := mem.NewNVM(mem.DefaultNVMParams())
-	cfg := DefaultConfig()
-	cfg.Trace = power.Get(power.Trace2)
-	cfg.CheckInvariants = true
-	s, err := New(cfg, newBroken(nvm), nvm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Run("small", smallProgram)
-	if err == nil {
-		t.Fatal("broken volatile WB cache passed the crash-consistency check")
-	}
-	if !strings.Contains(err.Error(), "crash consistency") && !strings.Contains(err.Error(), "architectural") {
-		t.Fatalf("unexpected error: %v", err)
+	for _, tier := range tiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			nvm := mem.NewNVM(mem.DefaultNVMParams())
+			cfg := DefaultConfig()
+			cfg.Trace = power.Get(power.Trace2)
+			cfg.CheckInvariants = true
+			cfg.Tier = tier
+			s, err := New(cfg, newBroken(nvm), nvm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.Run("small", smallProgram)
+			if err == nil {
+				t.Fatal("broken volatile WB cache passed the crash-consistency check")
+			}
+			if !strings.Contains(err.Error(), "crash consistency") && !strings.Contains(err.Error(), "architectural") {
+				t.Fatalf("unexpected error: %v", err)
+			}
+		})
 	}
 }
 
@@ -242,50 +253,69 @@ func TestReserveTooLargeRejected(t *testing.T) {
 }
 
 func TestMaxOutagesGuard(t *testing.T) {
-	nvm := mem.NewNVM(mem.DefaultNVMParams())
-	cfg := DefaultConfig()
-	cfg.Trace = power.Get(power.Trace3)
-	cfg.MaxOutages = 2
-	s, err := New(cfg, newWLStatic(nvm), nvm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run("small", smallProgram); err == nil {
-		t.Fatal("outage guard did not fire")
+	for _, tier := range tiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			nvm := mem.NewNVM(mem.DefaultNVMParams())
+			cfg := DefaultConfig()
+			cfg.Trace = power.Get(power.Trace3)
+			cfg.MaxOutages = 2
+			cfg.Tier = tier
+			s, err := New(cfg, newWLStatic(nvm), nvm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Run("small", smallProgram); !errors.Is(err, ErrNoProgress) {
+				t.Fatalf("outage guard did not fire: %v", err)
+			}
+		})
 	}
 }
 
 func TestComputeChunking(t *testing.T) {
-	nvm := mem.NewNVM(mem.DefaultNVMParams())
-	cfg := DefaultConfig()
-	cfg.Trace = power.Get(power.Trace1)
-	s, err := New(cfg, newWLStatic(nvm), nvm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run("compute", func(m isa.Machine) uint32 {
-		m.Compute(5_000_000) // one huge batch still hits voltage checks
-		return 1
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outages == 0 {
-		t.Fatal("a 5M-instruction compute batch should span outages")
-	}
-	if res.Instructions != 5_000_000 {
-		t.Fatalf("instructions %d", res.Instructions)
+	for _, tier := range tiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			nvm := mem.NewNVM(mem.DefaultNVMParams())
+			cfg := DefaultConfig()
+			cfg.Trace = power.Get(power.Trace1)
+			cfg.Tier = tier
+			s, err := New(cfg, newWLStatic(nvm), nvm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run("compute", func(m isa.Machine) uint32 {
+				m.Compute(5_000_000) // one huge batch still hits voltage checks
+				return 1
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Outages == 0 {
+				t.Fatal("a 5M-instruction compute batch should span outages")
+			}
+			if res.Instructions != 5_000_000 {
+				t.Fatalf("instructions %d", res.Instructions)
+			}
+		})
 	}
 }
 
 func TestNegativeComputeAborts(t *testing.T) {
-	nvm := mem.NewNVM(mem.DefaultNVMParams())
-	s, err := New(DefaultConfig(), newWLStatic(nvm), nvm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run("bad", func(m isa.Machine) uint32 { m.Compute(-1); return 0 }); err == nil {
-		t.Fatal("negative compute accepted")
+	for _, tier := range tiers {
+		for _, src := range []power.Source{power.None, power.Trace1} {
+			t.Run(tier.String()+"/"+string(src), func(t *testing.T) {
+				nvm := mem.NewNVM(mem.DefaultNVMParams())
+				cfg := DefaultConfig()
+				cfg.Trace = power.Get(src)
+				cfg.Tier = tier
+				s, err := New(cfg, newWLStatic(nvm), nvm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Run("bad", func(m isa.Machine) uint32 { m.Compute(-1); return 0 }); err == nil {
+					t.Fatal("negative compute accepted")
+				}
+			})
+		}
 	}
 }
 
@@ -315,19 +345,72 @@ func TestResultString(t *testing.T) {
 func TestEnergyAccountingConservation(t *testing.T) {
 	// Total drawn energy must be finite, positive, and the capacitor
 	// must end within its legal band.
-	nvm := mem.NewNVM(mem.DefaultNVMParams())
-	cfg := DefaultConfig()
-	cfg.Trace = power.Get(power.Trace1)
-	s, _ := New(cfg, newWLStatic(nvm), nvm)
-	res, err := s.Run("small", smallProgram)
-	if err != nil {
-		t.Fatal(err)
+	for _, tier := range tiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			nvm := mem.NewNVM(mem.DefaultNVMParams())
+			cfg := DefaultConfig()
+			cfg.Trace = power.Get(power.Trace1)
+			cfg.Tier = tier
+			s, _ := New(cfg, newWLStatic(nvm), nvm)
+			res, err := s.Run("small", smallProgram)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Energy.Total() <= 0 {
+				t.Fatal("nothing drawn")
+			}
+			v := s.Capacitor().Voltage()
+			if v < cfg.VMin-1e-9 || v > cfg.VMax+1e-9 {
+				t.Fatalf("final voltage %g out of band", v)
+			}
+		})
 	}
-	if res.Energy.Total() <= 0 {
-		t.Fatal("nothing drawn")
+}
+
+// noFaults is a fault plan that never crashes. Installing it must
+// still keep a TierFast run on the exact machine.
+type noFaults struct{}
+
+func (noFaults) ShouldCrash(uint64, int64) bool { return false }
+func (noFaults) CheckpointStart(int64, bool)    {}
+func (noFaults) CheckpointEnd(int64)            {}
+
+// TestFastTierSelection pins the one place the tier is decided: a
+// TierFast run with a recorder or a fault plan attached runs the exact
+// machine, so its Result equals the exact tier's field for field. A
+// plain fast run of the same cell differs in the last digits, which is
+// what makes the equality a test of the selection.
+func TestFastTierSelection(t *testing.T) {
+	run := func(tier Tier, mut func(*Config)) Result {
+		t.Helper()
+		nvm := mem.NewNVM(mem.DefaultNVMParams())
+		cfg := DefaultConfig()
+		cfg.Trace = power.Get(power.Trace1)
+		cfg.Tier = tier
+		mut(&cfg)
+		s, err := New(cfg, newWL(nvm), nvm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run("small", smallProgram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	v := s.Capacitor().Voltage()
-	if v < cfg.VMin-1e-9 || v > cfg.VMax+1e-9 {
-		t.Fatalf("final voltage %g out of band", v)
+	exact := run(TierExact, func(*Config) {})
+	if exact.Outages == 0 {
+		t.Fatal("no outages; the cell cannot tell the machines apart")
+	}
+	if fast := run(TierFast, func(*Config) {}); reflect.DeepEqual(fast, exact) {
+		t.Fatal("a plain fast run equals the exact run; the cell cannot tell the machines apart")
+	}
+	for name, mut := range map[string]func(*Config){
+		"obs":   func(c *Config) { c.Obs = obs.NewRecorder(obs.RunMeta{Design: "wl"}, 1<<10) },
+		"fault": func(c *Config) { c.FaultPlan = noFaults{} },
+	} {
+		if got := run(TierFast, mut); !reflect.DeepEqual(got, exact) {
+			t.Errorf("TierFast with %s: result differs from the exact tier:\n got  %+v\n want %+v", name, got, exact)
+		}
 	}
 }

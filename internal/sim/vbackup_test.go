@@ -14,45 +14,51 @@ import (
 // invalidated through the reserve-change notification: driving a
 // dynamic WL-Cache past its maxline (with an always-yes energy probe —
 // no trace) must raise the reserve and immediately refresh the
-// simulator's cached Vbackup, with no outage in between.
+// simulator's cached Vbackup, with no outage in between. Each tier
+// binds its own notification callback, so both are checked.
 func TestVbackupCacheDynamicRaise(t *testing.T) {
-	nvm := mem.NewNVM(mem.DefaultNVMParams())
-	ccfg := core.DefaultConfig()
-	ccfg.Adaptive.Mode = core.AdaptDynamic
-	ccfg.Adaptive.MaxMaxline = ccfg.DQCap
-	// Waterline == maxline disables background cleaning, so the dirty
-	// population actually reaches the maxline bound and the stall path
-	// must choose between waiting and raising.
-	ccfg.Maxline = 3
-	ccfg.Waterline = 3
-	wl := core.New(ccfg, nvm)
+	for _, tier := range tiers {
+		t.Run(tier.String(), func(t *testing.T) {
+			nvm := mem.NewNVM(mem.DefaultNVMParams())
+			ccfg := core.DefaultConfig()
+			ccfg.Adaptive.Mode = core.AdaptDynamic
+			ccfg.Adaptive.MaxMaxline = ccfg.DQCap
+			// Waterline == maxline disables background cleaning, so the
+			// dirty population actually reaches the maxline bound and the
+			// stall path must choose between waiting and raising.
+			ccfg.Maxline = 3
+			ccfg.Waterline = 3
+			wl := core.New(ccfg, nvm)
 
-	scfg := DefaultConfig() // no trace: probeReserve always affords a raise
-	s, err := New(scfg, wl, nvm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := s.Vbackup()
-	if want := scfg.Vbackup(wl.ReserveEnergy()); math.Float64bits(before) != math.Float64bits(want) {
-		t.Fatalf("initial Vbackup %g, want %g", before, want)
-	}
-	maxlineBefore := wl.Maxline()
+			scfg := DefaultConfig() // no trace: the probe always affords a raise
+			scfg.Tier = tier
+			s, err := New(scfg, wl, nvm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := s.Vbackup()
+			if want := scfg.Vbackup(wl.ReserveEnergy()); math.Float64bits(before) != math.Float64bits(want) {
+				t.Fatalf("initial Vbackup %g, want %g", before, want)
+			}
+			maxlineBefore := wl.Maxline()
 
-	// Dirty more distinct lines than maxline allows; the dynamic policy
-	// raises maxline instead of stalling on write-backs.
-	lineBytes := ccfg.Geometry.LineBytes
-	for i := 0; i <= maxlineBefore+4; i++ {
-		s.Store32(uint32(0x1000+i*lineBytes), uint32(i))
-	}
-	if wl.Maxline() <= maxlineBefore {
-		t.Fatalf("maxline %d did not raise (was %d)", wl.Maxline(), maxlineBefore)
-	}
-	after := s.Vbackup()
-	if want := scfg.Vbackup(wl.ReserveEnergy()); math.Float64bits(after) != math.Float64bits(want) {
-		t.Fatalf("cached Vbackup %g stale after raise, want %g", after, want)
-	}
-	if after <= before {
-		t.Fatalf("Vbackup did not rise with the reserve: %g -> %g", before, after)
+			// Dirty more distinct lines than maxline allows; the dynamic
+			// policy raises maxline instead of stalling on write-backs.
+			lineBytes := ccfg.Geometry.LineBytes
+			for i := 0; i <= maxlineBefore+4; i++ {
+				s.Store32(uint32(0x1000+i*lineBytes), uint32(i))
+			}
+			if wl.Maxline() <= maxlineBefore {
+				t.Fatalf("maxline %d did not raise (was %d)", wl.Maxline(), maxlineBefore)
+			}
+			after := s.Vbackup()
+			if want := scfg.Vbackup(wl.ReserveEnergy()); math.Float64bits(after) != math.Float64bits(want) {
+				t.Fatalf("cached Vbackup %g stale after raise, want %g", after, want)
+			}
+			if after <= before {
+				t.Fatalf("Vbackup did not rise with the reserve: %g -> %g", before, after)
+			}
+		})
 	}
 }
 
