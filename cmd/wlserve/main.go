@@ -57,7 +57,7 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 	var (
 		addr       = fs.String("addr", "127.0.0.1:8080", "listen address (host:0 picks a free port)")
 		data       = fs.String("data", "", "data directory for sweep journals (required)")
-		workers    = fs.Int("workers", 0, "worker pool size per sweep (0 = NumCPU)")
+		workers    = fs.Int("workers", 0, "worker pool size per sweep, and goroutines reloading journals at startup (0 = NumCPU)")
 		maxSweeps  = fs.Int("max-sweeps", 0, "max sweeps running concurrently (0 = 2)")
 		queue      = fs.Int("queue", 0, "max sweeps queued before load-shedding with 429 (0 = 8)")
 		maxCells   = fs.Int("max-cells", 0, "max cells in one sweep spec (0 = 10000)")

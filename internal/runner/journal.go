@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"time"
 
@@ -257,6 +258,47 @@ func ReadJournal(path, engine string) (map[string]sim.Result, LoadStats, error) 
 		return make(map[string]sim.Result), stats, nil
 	}
 	return results, stats, nil
+}
+
+// JournalLoad is one journal's ReadJournal outcome.
+type JournalLoad struct {
+	Results map[string]sim.Result
+	Stats   LoadStats
+	Err     error
+}
+
+// ReadJournals runs ReadJournal on every path across up to workers
+// goroutines (0 = NumCPU) and returns the outcomes index-aligned with
+// paths. Journals are independent files, so only the wall time
+// changes: a caller that applies the outcomes in paths order gets
+// exactly what reading them one after another would give, including
+// last-write-wins across journals.
+func ReadJournals(paths []string, engine string, workers int) []JournalLoad {
+	loads := make([]JournalLoad, len(paths))
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	workers = min(workers, len(paths))
+	// Journals differ in size, so workers take paths one at a time
+	// instead of splitting them up front.
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				l := &loads[i]
+				l.Results, l.Stats, l.Err = ReadJournal(paths[i], engine)
+			}
+		}()
+	}
+	for i := range paths {
+		idx <- i
+	}
+	close(idx)
+	wg.Wait()
+	return loads
 }
 
 // Append durably records one completed cell: the line is written and

@@ -2,6 +2,8 @@ package runner
 
 import (
 	"context"
+	"errors"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -180,5 +182,34 @@ func TestReloadMetricsThroughObs(t *testing.T) {
 	}
 	if got := reg.Counter("runner.journal.torn_tail_bytes", obs.DirLower).Value(); got != uint64(cut) {
 		t.Errorf("torn-tail metric = %d, want %d", got, cut)
+	}
+}
+
+// ReadJournals returns each path's ReadJournal outcome at that path's
+// index, however many workers share the paths.
+func TestReadJournalsIndexAligned(t *testing.T) {
+	if loads := ReadJournals(nil, "e1", 4); len(loads) != 0 {
+		t.Fatalf("zero paths gave %d loads", len(loads))
+	}
+	dir := t.TempDir()
+	good := writeJournal(t, headerLine(t, "e1"), recordLine(t, "e1", "fp-a", fakeResult(1)))
+	corrupt := writeJournal(t, headerLine(t, "e1"), "not json", recordLine(t, "e1", "fp-b", fakeResult(2)))
+	mismatch := writeJournal(t, headerLine(t, "e0"), recordLine(t, "e0", "fp-c", fakeResult(3)))
+	paths := []string{good, filepath.Join(dir, "absent.jsonl"), corrupt, mismatch, good}
+	for _, workers := range []int{0, 1, 2, len(paths) + 3} {
+		loads := ReadJournals(paths, "e1", workers)
+		if len(loads) != len(paths) {
+			t.Fatalf("workers %d: %d loads for %d paths", workers, len(loads), len(paths))
+		}
+		for i, p := range paths {
+			results, stats, err := ReadJournal(p, "e1")
+			l := loads[i]
+			if (l.Err == nil) != (err == nil) || !maps.Equal(l.Results, results) || l.Stats != stats {
+				t.Errorf("workers %d, path %d: got %v/%+v/%v, want %v/%+v/%v", workers, i, l.Results, l.Stats, l.Err, results, stats, err)
+			}
+		}
+		if !errors.Is(loads[2].Err, ErrJournalCorrupt) || len(loads[0].Results) != 1 || len(loads[1].Results) != 0 || !loads[3].Stats.EngineMismatch {
+			t.Errorf("workers %d: outcomes out of place: %+v", workers, loads)
+		}
 	}
 }

@@ -239,6 +239,7 @@ func writeSnapshotProm(w io.Writer, m MetricsSnapshot) {
 	counter("wlserve_cell_retries_total", m.CellsRetried)
 	counter("wlserve_cell_panics_total", m.CellsPanicked)
 	gauge("wlserve_store_loaded", m.StoreLoaded)
+	fmt.Fprintf(w, "# TYPE wlserve_store_load_seconds gauge\nwlserve_store_load_seconds %g\n", m.StoreLoadMS/1e3)
 	gauge("wlserve_store_size", m.StoreSize)
 	counter("wlserve_journal_appends_total", m.JournalAppends)
 	counter("wlserve_journal_dropped_records_total", m.JournalDropped)

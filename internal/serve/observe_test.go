@@ -205,6 +205,7 @@ func TestMetricsPrometheusScrape(t *testing.T) {
 		{"wlserve_sweeps_total", map[string]string{"state": "completed"}, float64(jsonSnap.SweepsCompleted)},
 		{"wlserve_cells_total", map[string]string{"outcome": "computed"}, float64(jsonSnap.CellsComputed)},
 		{"wlserve_journal_appends_total", nil, float64(jsonSnap.JournalAppends)},
+		{"wlserve_store_load_seconds", nil, jsonSnap.StoreLoadMS / 1e3},
 	}
 	for _, c := range checks {
 		got, ok := sampleValue(samples, c.name, c.labels)

@@ -52,7 +52,8 @@ type Config struct {
 	// Engine is the engine version mixed into every content address
 	// (default sim.EngineVersion).
 	Engine string
-	// Workers bounds each sweep's worker pool (0 = NumCPU).
+	// Workers bounds each sweep's worker pool and the goroutines
+	// that reload the journals at startup (0 = NumCPU).
 	Workers int
 	// MaxConcurrent bounds sweeps running at once (0 = 2).
 	MaxConcurrent int
@@ -160,13 +161,14 @@ type MetricsSnapshot struct {
 	CellsRetried     int64 `json:"cells_retried"`
 	CellsPanicked    int64 `json:"cells_panicked"`
 
-	StoreLoaded         int64 `json:"store_loaded"`
-	StoreSize           int64 `json:"store_size"`
-	JournalAppends      int64 `json:"journal_appends"`
-	JournalDropped      int64 `json:"journal_dropped_records"`
-	JournalTornBytes    int64 `json:"journal_torn_tail_bytes"`
-	JournalsQuarantined int64 `json:"journals_quarantined"`
-	Draining            bool  `json:"draining"`
+	StoreLoaded         int64   `json:"store_loaded"`
+	StoreLoadMS         float64 `json:"store_load_ms"`
+	StoreSize           int64   `json:"store_size"`
+	JournalAppends      int64   `json:"journal_appends"`
+	JournalDropped      int64   `json:"journal_dropped_records"`
+	JournalTornBytes    int64   `json:"journal_torn_tail_bytes"`
+	JournalsQuarantined int64   `json:"journals_quarantined"`
+	Draining            bool    `json:"draining"`
 }
 
 // Server is the sweep service.
@@ -201,6 +203,7 @@ type Server struct {
 
 	appends     atomic.Int64
 	storeLoaded int64
+	storeLoad   time.Duration // wall time of the startup reload
 	c           counters
 
 	// beforeRun, when set, runs after a sweep wins admission and
@@ -211,9 +214,10 @@ type Server struct {
 
 // New builds a Server and rebuilds the shared result store from every
 // journal in DataDir: after a crash, every durably journaled cell is
-// servable again before the first request lands. A corrupt journal is
-// quarantined (renamed aside) and logged, never fatal — the sweep that
-// owns it recomputes.
+// servable again before the first request lands. The journals are read
+// in parallel across Workers, and New returns only once all of them
+// are in the store. A corrupt journal is quarantined (renamed aside)
+// and logged, never fatal — the sweep that owns it recomputes.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.normalize()
 	if cfg.DataDir == "" {
@@ -256,27 +260,34 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// loadStore seeds the shared store from every journal in DataDir.
+// loadStore seeds the shared store from every journal in DataDir. The
+// journals are decoded in parallel but applied in glob order, so
+// last-write-wins across journals matches a sequential reload.
 func (s *Server) loadStore() error {
+	start := time.Now()
 	paths, err := filepath.Glob(filepath.Join(s.cfg.DataDir, "*.jsonl"))
 	if err != nil {
 		return err
 	}
-	for _, p := range paths {
-		results, stats, err := runner.ReadJournal(p, s.cfg.Engine)
-		if err != nil {
+	loads := runner.ReadJournals(paths, s.cfg.Engine, s.cfg.Workers)
+	quarantined := 0
+	for i, l := range loads {
+		if l.Err != nil {
 			// Interior corruption: quarantine so the owning sweep
 			// restarts clean, and keep serving everything else.
-			s.quarantine(p, err)
+			s.quarantine(paths[i], l.Err)
+			quarantined++
 			continue
 		}
-		for addr, res := range results {
+		for addr, res := range l.Results {
 			s.store.Seed(addr, res)
 		}
-		s.noteLoadStats(stats)
+		s.noteLoadStats(l.Stats)
 	}
 	s.storeLoaded = int64(s.store.Len())
-	s.cfg.Log.Printf("serve: store loaded: %d results from %d journals", s.storeLoaded, len(paths))
+	s.storeLoad = time.Since(start)
+	s.cfg.Log.Printf("serve: store loaded: %d results from %d journals (%d quarantined) in %s",
+		s.storeLoaded, len(paths)-quarantined, quarantined, s.storeLoad.Round(time.Microsecond))
 	return nil
 }
 
@@ -401,6 +412,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 		CellsRetried:        s.c.cellsRetried.Load(),
 		CellsPanicked:       s.c.cellsPanicked.Load(),
 		StoreLoaded:         s.storeLoaded,
+		StoreLoadMS:         s.storeLoad.Seconds() * 1e3,
 		StoreSize:           int64(s.store.Len()),
 		JournalAppends:      s.appends.Load(),
 		JournalDropped:      s.c.journalDropped.Load(),
