@@ -402,17 +402,7 @@ func runServeChild(addr, dataDir string, killAfter int, stdout io.Writer) error 
 	}
 	cfg := serve.Config{DataDir: dataDir}
 	if killAfter > 0 {
-		n := killAfter
-		cfg.AfterJournal = func(total int) {
-			if total == n {
-				// Die like a power failure: no cleanup, no flushes, and
-				// block afterwards so this sweep's journal lock stays
-				// held until the process is gone.
-				p, _ := os.FindProcess(os.Getpid())
-				p.Kill()
-				select {}
-			}
-		}
+		cfg.AfterJournal = serve.KillAfter(killAfter)
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {
@@ -588,12 +578,15 @@ func runChaosServe(seed int64, dataDir, goldenPath string, wls []string, srcs []
 	if err != nil {
 		return err
 	}
-	// The crashed server durably appended killAt records under the dying
-	// sweep's journal lock; the other concurrent sweep can have landed
-	// at most one more append between that count and process death.
+	// The crashed server durably appended killAt records before the
+	// kill seam blocked every further append; the other concurrent
+	// sweep can have landed at most the one append it had in flight.
 	loaded := int(snap.StoreLoaded)
-	if loaded < killAt || loaded > killAt+1 {
-		return chaosFail("restart reloaded %d durable cells, the crash guaranteed %d (+1 for the concurrent sweep) — durable work was lost", loaded, killAt)
+	if loaded < killAt {
+		return chaosFail("restart reloaded %d durable cells, the crash guaranteed %d — durable work was lost", loaded, killAt)
+	}
+	if loaded > killAt+1 {
+		return chaosFail("restart reloaded %d durable cells, more than the %d (+1 for the concurrent sweep) the kill seam allows — it let extra appends through before the process died", loaded, killAt)
 	}
 
 	outA := make(chan sweepOutcome, 1)

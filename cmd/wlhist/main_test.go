@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wlcache/internal/hist"
+	"wlcache/internal/serve"
 )
 
 // benchDoc is a minimal wlbench/v1 report with a host block so two
@@ -121,6 +124,34 @@ func TestScrape(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "prometheus") || !strings.Contains(out.String(), "live") {
 		t.Fatalf("list output: %s", out.String())
+	}
+}
+
+// The documented scrape URL works against a real wlserve handler: its
+// /metrics exposition ingests and records exactly one entry.
+func TestScrapeServeMetrics(t *testing.T) {
+	s, err := serve.New(serve.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	store := filepath.Join(t.TempDir(), "h.jsonl")
+	var out strings.Builder
+	code, err := runScrape([]string{"-store", store, "-url", srv.URL + "/metrics", "-label", "live"}, &out)
+	if err != nil || code != 0 {
+		t.Fatalf("scrape: code=%d err=%v\n%s", code, err, out.String())
+	}
+	if !strings.Contains(out.String(), "recorded scrape") {
+		t.Fatalf("scrape output: %s", out.String())
+	}
+	h, err := hist.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Len() != 1 || len(h.Entries()[0].Metrics) == 0 {
+		t.Fatalf("store holds %d entries (%+v), want one with metrics", h.Len(), h.Entries())
 	}
 }
 

@@ -63,7 +63,6 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 		maxCells   = fs.Int("max-cells", 0, "max cells in one sweep spec (0 = 10000)")
 		retryAfter = fs.Duration("retry-after", 0, "Retry-After hint on shed load (0 = 5s)")
 		reqBudget  = fs.Duration("request-budget", 0, "per-sweep wall-time budget; late cells become deterministic skips (0 = none)")
-		cellBudget = fs.Duration("cell-budget", 0, "per-cell deadline budget (0 = none)")
 		drain      = fs.Duration("drain", 30*time.Second, "graceful shutdown drain deadline")
 		killAfter  = fs.Int("kill-after", 0, "SIGKILL this process after N durable journal appends (chaos harness internal)")
 		pprof      = fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in)")
@@ -94,24 +93,12 @@ func run(args []string, stdout io.Writer, sig <-chan os.Signal) error {
 		MaxCells:      *maxCells,
 		RetryAfter:    *retryAfter,
 		RequestBudget: *reqBudget,
-		CellBudget:    *cellBudget,
 		EnablePprof:   *pprof,
 		Log:           log.New(os.Stderr, "wlserve: ", log.LstdFlags),
 		Logger:        slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})),
 	}
 	if *killAfter > 0 {
-		n := *killAfter
-		cfg.AfterJournal = func(total int) {
-			if total == n {
-				// Die the way a power failure would: no deferred
-				// cleanup, no flushes. Blocking afterwards keeps the
-				// append lock held so no further record can become
-				// durable between the kill request and process death.
-				p, _ := os.FindProcess(os.Getpid())
-				p.Kill()
-				select {}
-			}
-		}
+		cfg.AfterJournal = serve.KillAfter(*killAfter)
 	}
 
 	srv, err := serve.New(cfg)

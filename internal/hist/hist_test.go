@@ -460,7 +460,7 @@ func TestIngestLoad(t *testing.T) {
 	  "submitted":16,"completed":16,"shed":1,"http_5xx":0,"failed":0,
 	  "throughput_rps":120.5,"cells_per_sec":900,
 	  "latency":{"p50_ms":2,"p95_ms":9,"p99_ms":12,"mean_ms":3,"max_ms":15},
-	  "cells":{"total":32,"computed":20,"from_journal":6,"from_shared":6,"deduped":6,"failed":0,"skipped":0,"retries":0},
+	  "cells":{"total":32,"computed":20,"from_journal":6,"from_shared":6,"deduped":6,"failed":0,"skipped":0},
 	  "dedup_ratio":0.18,"shed_rate":0.05,"sweeps":[]}`
 	entries, err := Ingest([]byte(doc), "load.json", "")
 	if err != nil || len(entries) != 1 {
@@ -486,7 +486,7 @@ func TestIngestProm(t *testing.T) {
 		"wlserve_cell_us_count 2\n" +
 		"# TYPE wlserve_sweeps_total counter\n" +
 		"wlserve_sweeps_total 7\n"
-	entries, err := Ingest([]byte(exp), "http://x/metricz", "scrape")
+	entries, err := Ingest([]byte(exp), "http://x/metrics", "scrape")
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("ingest: %v", err)
 	}

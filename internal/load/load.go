@@ -100,7 +100,6 @@ type Cells struct {
 	Deduped     int `json:"deduped"`
 	Failed      int `json:"failed"`
 	Skipped     int `json:"skipped"`
-	Retries     int `json:"retries"`
 }
 
 // Scrape is one /metrics + /metricz observation. PromSamples counts
@@ -322,7 +321,6 @@ func oneRequest(ctx context.Context, cfg Config, cli *serve.Client, col *collect
 		col.rep.Cells.Deduped += m.Deduped
 		col.rep.Cells.Failed += m.Failed
 		col.rep.Cells.Skipped += m.Skipped
-		col.rep.Cells.Retries += m.Retries
 	}
 }
 

@@ -9,12 +9,6 @@ import (
 // classify with errors.Is instead of matching message strings,
 // mirroring the discipline internal/sim establishes for the simulator.
 var (
-	// ErrTransient marks a retryable cell failure. The default retry
-	// classifier retries exactly the errors that wrap it; everything
-	// else (simulation errors, panics) is permanent — a deterministic
-	// simulator fails the same way every time.
-	ErrTransient = errors.New("runner: transient cell failure")
-
 	// ErrCellPanic marks a cell whose Run panicked. The panic is
 	// recovered on the worker goroutine and isolated to the cell, so
 	// one poisoned cell cannot take down a whole sweep.

@@ -16,9 +16,9 @@ import (
 // concurrent sweeps request it.
 //
 // Only successes are published. A leader whose compute fails releases
-// the address, and one of the waiters takes over leadership and tries
-// its own compute (with its own retry budget), so a transient failure
-// in one sweep never poisons the result for every other sweep.
+// the address, and one of the waiters takes over leadership and runs
+// its own compute, so a failure local to one sweep (its cancellation,
+// say) never poisons the result for every other sweep.
 type Flight struct {
 	mu       sync.Mutex
 	done     map[string]sim.Result

@@ -334,13 +334,6 @@ func (j *Journal) writeLine(line []byte) error {
 	return err
 }
 
-// Appended returns how many records this process has durably appended.
-func (j *Journal) Appended() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appended
-}
-
 // Close releases the journal file.
 func (j *Journal) Close() error {
 	j.mu.Lock()

@@ -12,8 +12,8 @@ import (
 	"wlcache/internal/sim"
 )
 
-// Every computed cell's CellDone carries its timing — one attempt, a
-// duration covering the cell's work, a non-negative queue wait — and
+// Every computed cell's CellDone carries its timing — a duration
+// covering the cell's work, a non-negative queue wait — and
 // each journal append's fsync is reported to the ObserveFsync hook.
 func TestCellDoneTimingAndFsyncHook(t *testing.T) {
 	const n = 6
@@ -60,9 +60,6 @@ func TestCellDoneTimingAndFsyncHook(t *testing.T) {
 		if d.Source != SourceComputed {
 			t.Fatalf("cell %s source %q, want computed", d.ID, d.Source)
 		}
-		if d.Attempts != 1 {
-			t.Fatalf("cell %s attempts %d, want 1", d.ID, d.Attempts)
-		}
 		if d.Dur < 2*time.Millisecond {
 			t.Fatalf("cell %s dur %v, want >= the cell's 2ms of work", d.ID, d.Dur)
 		}
@@ -76,19 +73,16 @@ func TestCellDoneTimingAndFsyncHook(t *testing.T) {
 	}
 }
 
-// Transient retries are visible in CellDone.Attempts, and cells served
-// from the journal on a re-run report zero attempts and the journal
-// source.
-func TestCellDoneAttemptsAndJournalReplay(t *testing.T) {
+// A computed cell reports the computed source; on a re-run the journal
+// serves it back with the journal source and zero recomputation.
+func TestCellDoneJournalReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.wlj")
-	var tries atomic.Int64
-	flaky := Cell{
-		ID:          "flaky",
-		Fingerprint: "fp-flaky",
+	var runs atomic.Int64
+	cell := Cell{
+		ID:          "once",
+		Fingerprint: "fp-once",
 		Run: func(context.Context) (sim.Result, error) {
-			if tries.Add(1) < 3 {
-				return sim.Result{}, fmt.Errorf("hiccup: %w", ErrTransient)
-			}
+			runs.Add(1)
 			return fakeResult(0), nil
 		},
 	}
@@ -104,28 +98,27 @@ func TestCellDoneAttemptsAndJournalReplay(t *testing.T) {
 	}
 
 	onCell, dones := collect()
-	cfg := Config{
-		Workers: 1, Engine: "test", JournalPath: path,
-		MaxAttempts: 3, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
-		OnCell: onCell,
-	}
-	if _, err := RunCells(context.Background(), cfg, []Cell{flaky}); err != nil {
+	cfg := Config{Workers: 1, Engine: "test", JournalPath: path, OnCell: onCell}
+	if _, err := RunCells(context.Background(), cfg, []Cell{cell}); err != nil {
 		t.Fatal(err)
 	}
-	if len(*dones) != 1 || (*dones)[0].Attempts != 3 || (*dones)[0].Source != SourceComputed {
-		t.Fatalf("first run CellDone = %+v, want 3 attempts, computed", *dones)
+	if len(*dones) != 1 || (*dones)[0].Source != SourceComputed || runs.Load() != 1 {
+		t.Fatalf("first run CellDone = %+v after %d runs, want one computed cell", *dones, runs.Load())
 	}
 
 	onCell2, dones2 := collect()
 	cfg.OnCell = onCell2
-	if _, err := RunCells(context.Background(), cfg, []Cell{flaky}); err != nil {
+	if _, err := RunCells(context.Background(), cfg, []Cell{cell}); err != nil {
 		t.Fatal(err)
 	}
-	d := (*dones2)[0]
-	if d.Source != SourceJournal || d.Attempts != 0 {
-		t.Fatalf("replay CellDone = %+v, want journal source with 0 attempts", d)
+	if len(*dones2) != 1 {
+		t.Fatalf("replay fired OnCell %d times, want 1", len(*dones2))
 	}
-	if tries.Load() != 3 {
-		t.Fatalf("cell ran %d times total, want 3 (replay must not recompute)", tries.Load())
+	d := (*dones2)[0]
+	if d.Source != SourceJournal || d.Result != fakeResult(0) {
+		t.Fatalf("replay CellDone = %+v, want the journaled result with the journal source", d)
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("cell ran %d times total, want 1 (replay must not recompute)", runs.Load())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,6 +143,26 @@ func TestPanicIsolation(t *testing.T) {
 	}
 }
 
+// A panic is final: the cell runs exactly once and its slot holds the
+// typed panic error.
+func TestPanicIsPermanent(t *testing.T) {
+	var tries atomic.Int64
+	rep, err := RunCells(context.Background(), Config{Workers: 1, Engine: "test"},
+		[]Cell{{ID: "boom", Optional: true, Run: func(context.Context) (sim.Result, error) {
+			tries.Add(1)
+			panic("kaboom")
+		}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tries.Load(); got != 1 {
+		t.Fatalf("panicking cell ran %d times, want 1", got)
+	}
+	if !errors.Is(rep.Errs[0], ErrCellPanic) || rep.Metrics.Panics != 1 {
+		t.Fatalf("err %v, metrics %+v", rep.Errs[0], rep.Metrics)
+	}
+}
+
 // Optional cells may fail without failing the sweep; their result
 // stays zero.
 func TestOptionalFailureTolerated(t *testing.T) {
@@ -163,60 +184,32 @@ func TestOptionalFailureTolerated(t *testing.T) {
 	}
 }
 
-// Transient failures retry with backoff until they succeed; permanent
-// failures do not retry.
-func TestTransientRetry(t *testing.T) {
-	var attempts, permTries atomic.Int64
-	cells := []Cell{
-		{ID: "flaky", Run: func(context.Context) (sim.Result, error) {
-			if attempts.Add(1) < 3 {
-				return sim.Result{}, fmt.Errorf("%w: io hiccup", ErrTransient)
-			}
-			return fakeResult(0), nil
-		}},
-		{ID: "perm", Optional: true, Run: func(context.Context) (sim.Result, error) {
-			permTries.Add(1)
-			return sim.Result{}, errors.New("deterministic failure")
-		}},
-	}
-	rep, err := RunCells(context.Background(), Config{
-		Workers: 1, Engine: "test", MaxAttempts: 5,
-		BackoffBase: time.Millisecond, BackoffMax: 4 * time.Millisecond,
-	}, cells)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Results[0] != fakeResult(0) {
-		t.Fatal("flaky cell did not recover")
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("flaky cell ran %d times, want 3", got)
-	}
-	if got := permTries.Load(); got != 1 {
-		t.Fatalf("permanent failure retried %d times, want 1", got)
-	}
-	if rep.Metrics.Retries != 2 {
-		t.Fatalf("metrics %+v", rep.Metrics)
-	}
-}
-
-// A transient cell that never recovers exhausts MaxAttempts and
-// surfaces the last error.
-func TestTransientExhaustion(t *testing.T) {
+// A failing cell runs once and surfaces its own error — message and
+// classification intact, attributed to the cell — not a synthetic
+// wrapper that would hide what actually failed.
+func TestFailedCellSurfacesOriginalError(t *testing.T) {
+	errDisk := errors.New("disk on fire")
 	var tries atomic.Int64
-	cells := []Cell{{ID: "hopeless", Run: func(context.Context) (sim.Result, error) {
-		tries.Add(1)
-		return sim.Result{}, fmt.Errorf("%w: still down", ErrTransient)
-	}}}
-	_, err := RunCells(context.Background(), Config{
-		Workers: 1, Engine: "test", MaxAttempts: 3,
-		BackoffBase: time.Millisecond, BackoffMax: time.Millisecond,
-	}, cells)
-	if err == nil || !errors.Is(err, ErrTransient) {
-		t.Fatalf("err = %v", err)
+	_, err := RunCells(context.Background(), Config{Workers: 1, Engine: "test"},
+		[]Cell{{ID: "down", Run: func(context.Context) (sim.Result, error) {
+			tries.Add(1)
+			return sim.Result{}, fmt.Errorf("mount /data: %w", errDisk)
+		}}})
+	if err == nil {
+		t.Fatal("failing cell returned nil error")
 	}
-	if got := tries.Load(); got != 3 {
-		t.Fatalf("ran %d times, want 3", got)
+	if got := tries.Load(); got != 1 {
+		t.Fatalf("failing cell ran %d times, want exactly 1", got)
+	}
+	if !errors.Is(err, errDisk) {
+		t.Fatalf("original classification lost: %v", err)
+	}
+	if !strings.Contains(err.Error(), "mount /data: disk on fire") {
+		t.Fatalf("original message lost: %v", err)
+	}
+	var ce *CellError
+	if !errors.As(err, &ce) || ce.ID != "down" {
+		t.Fatalf("error not attributed to the failing cell: %v", err)
 	}
 }
 
@@ -267,23 +260,22 @@ func TestCancellationSkipsDeterministically(t *testing.T) {
 	}
 }
 
-// A per-cell deadline budget stops retrying a transient cell.
-func TestCellBudgetBoundsRetries(t *testing.T) {
-	var tries atomic.Int64
-	cells := []Cell{{ID: "slow-flaky", Run: func(context.Context) (sim.Result, error) {
-		tries.Add(1)
-		return sim.Result{}, fmt.Errorf("%w: down", ErrTransient)
-	}}}
-	_, err := RunCells(context.Background(), Config{
-		Workers: 1, Engine: "test", MaxAttempts: 1000,
-		BackoffBase: 20 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-		CellBudget: 50 * time.Millisecond,
-	}, cells)
-	if err == nil {
-		t.Fatal("budget-exceeded cell returned nil error")
+// A cell reaching runCell after its sweep was cancelled (a Flight
+// waiter taking over leadership late, say) fails with the cancellation
+// and never runs.
+func TestRunCellAfterCancelDoesNotRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var runs, panics atomic.Int64
+	_, err := runCell(ctx, Cell{ID: "late", Run: func(context.Context) (sim.Result, error) {
+		runs.Add(1)
+		return fakeResult(0), nil
+	}}, &panics)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("late cell error %v, want context.Canceled", err)
 	}
-	if got := tries.Load(); got >= 1000 {
-		t.Fatalf("budget did not bound retries (%d tries)", got)
+	if runs.Load() != 0 {
+		t.Fatal("late cell ran after cancellation")
 	}
 }
 

@@ -236,7 +236,6 @@ func writeSnapshotProm(w io.Writer, m MetricsSnapshot) {
 	fmt.Fprintf(w, "wlserve_cells_total{outcome=\"deduped\"} %d\n", m.CellsDeduped)
 	fmt.Fprintf(w, "wlserve_cells_total{outcome=\"failed\"} %d\n", m.CellsFailed)
 	fmt.Fprintf(w, "wlserve_cells_total{outcome=\"skipped\"} %d\n", m.CellsSkipped)
-	counter("wlserve_cell_retries_total", m.CellsRetried)
 	counter("wlserve_cell_panics_total", m.CellsPanicked)
 	gauge("wlserve_store_loaded", m.StoreLoaded)
 	fmt.Fprintf(w, "# TYPE wlserve_store_load_seconds gauge\nwlserve_store_load_seconds %g\n", m.StoreLoadMS/1e3)
@@ -348,9 +347,6 @@ func (s *Server) progressCell(p *progress, d runner.CellDone, elapsed time.Durat
 	args := map[string]any{
 		"source":  string(d.Source),
 		"wait_us": d.Wait.Microseconds(),
-	}
-	if d.Attempts > 0 {
-		args["attempts"] = d.Attempts
 	}
 	if d.Err != nil {
 		args["error"] = d.Err.Error()

@@ -12,10 +12,11 @@
 // is computed once per server lifetime no matter how many sweeps
 // request it. Overload and crash are first-class states: admission
 // control sheds load with 429 + Retry-After when the queue is full,
-// per-request and per-cell deadline budgets degrade to deterministic
-// skips, transient cell errors retry with capped backoff, worker panics
-// are isolated to their cell, and graceful shutdown drains or journals
-// every in-flight cell within a configured deadline. /healthz and
+// the per-request budget degrades unstarted cells to deterministic
+// skips, worker panics are isolated to their cell, and graceful
+// shutdown drains or journals every in-flight cell within a configured
+// deadline. Cells are deterministic, so a failed cell is final: its
+// error streams back and nothing is retried. /healthz and
 // /readyz expose liveness and drain state; /metricz exposes the
 // counters the chaos gate audits (zero recompute, exactly-once
 // compute).
@@ -67,15 +68,9 @@ type Config struct {
 	// RequestBudget bounds one sweep's wall time; cells not started
 	// when it expires become deterministic skips (0 = none).
 	RequestBudget time.Duration
-	// CellBudget is the per-cell deadline, and the cap on a spec's
-	// cell_budget_ms (0 = none).
-	CellBudget time.Duration
-	// MaxAttempts bounds tries per cell for transient failures
-	// (0 = runner default).
-	MaxAttempts int
 	// AfterJournal, when set, runs after the n-th journal append
 	// server-wide becomes durable, under that journal's append lock —
-	// the chaos harness SIGKILLs the process here.
+	// the chaos harness SIGKILLs the process here (see KillAfter).
 	AfterJournal func(total int)
 	// Log receives operational messages (nil = discard).
 	Log *log.Logger
@@ -86,6 +81,28 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiling endpoints are opt-in, never ambient.
 	EnablePprof bool
+}
+
+// KillAfter returns a Config.AfterJournal hook that fails the process
+// the way a power failure would once n journal appends are durable
+// server-wide: the n-th append SIGKILLs the process (no deferred
+// cleanup, no flushes), and every append from the n-th on blocks
+// forever under its journal's append lock. No sweep can then make a
+// further record durable while the kill lands, except the one append
+// each other concurrent sweep already had in flight, so a restart
+// reloads between n and n + (concurrent sweeps − 1) records. wlserve
+// -kill-after and the chaos harness's in-process server use it.
+func KillAfter(n int) func(total int) {
+	return func(total int) {
+		if total < n {
+			return
+		}
+		if total == n {
+			p, _ := os.FindProcess(os.Getpid())
+			p.Kill()
+		}
+		select {}
+	}
 }
 
 func (c Config) normalize() Config {
@@ -131,7 +148,6 @@ type counters struct {
 	cellsDeduped      atomic.Int64
 	cellsFailed       atomic.Int64
 	cellsSkipped      atomic.Int64
-	cellsRetried      atomic.Int64
 	cellsPanicked     atomic.Int64
 	journalAppends    atomic.Int64
 	journalDropped    atomic.Int64
@@ -158,7 +174,6 @@ type MetricsSnapshot struct {
 	CellsDeduped     int64 `json:"cells_deduped"`
 	CellsFailed      int64 `json:"cells_failed"`
 	CellsSkipped     int64 `json:"cells_skipped"`
-	CellsRetried     int64 `json:"cells_retried"`
 	CellsPanicked    int64 `json:"cells_panicked"`
 
 	StoreLoaded         int64   `json:"store_loaded"`
@@ -409,7 +424,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 		CellsDeduped:        s.c.cellsDeduped.Load(),
 		CellsFailed:         s.c.cellsFailed.Load(),
 		CellsSkipped:        s.c.cellsSkipped.Load(),
-		CellsRetried:        s.c.cellsRetried.Load(),
 		CellsPanicked:       s.c.cellsPanicked.Load(),
 		StoreLoaded:         s.storeLoaded,
 		StoreLoadMS:         s.storeLoad.Seconds() * 1e3,
@@ -586,14 +600,6 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		defer cancelBudget()
 	}
 
-	cellBudget := s.cfg.CellBudget
-	if spec.CellBudgetMS > 0 {
-		b := time.Duration(spec.CellBudgetMS) * time.Millisecond
-		if cellBudget == 0 || b < cellBudget {
-			cellBudget = b
-		}
-	}
-
 	journalPath := filepath.Join(s.cfg.DataDir, sweepID+".jsonl")
 	if _, _, err := runner.ReadJournal(journalPath, s.cfg.Engine); err != nil {
 		// Pre-flight: a corrupt journal would fail the sweep at open;
@@ -626,8 +632,6 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 			Workers:     s.cfg.Workers,
 			Engine:      s.cfg.Engine,
 			JournalPath: journalPath,
-			MaxAttempts: s.cfg.MaxAttempts,
-			CellBudget:  cellBudget,
 			Shared:      s.store,
 			AfterJournal: func(int) {
 				n := s.appends.Add(1)
@@ -648,7 +652,7 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 		s.slog.Debug("cell done",
 			"request", rid, "sweep", sweepID, "cell", d.ID,
 			"source", string(d.Source), "dur_us", d.Dur.Microseconds(),
-			"wait_us", d.Wait.Microseconds(), "attempts", d.Attempts)
+			"wait_us", d.Wait.Microseconds())
 		ev := Event{
 			Type:     EventCell,
 			Request:  rid,
@@ -681,7 +685,6 @@ func (s *Server) runSweep(w http.ResponseWriter, r *http.Request, spec Spec, swe
 	s.c.cellsDeduped.Add(int64(rep.Metrics.Deduped))
 	s.c.cellsFailed.Add(int64(rep.Metrics.Failed + rep.Metrics.OptionalFailed))
 	s.c.cellsSkipped.Add(int64(rep.Metrics.Skipped))
-	s.c.cellsRetried.Add(int64(rep.Metrics.Retries))
 	s.c.cellsPanicked.Add(int64(rep.Metrics.Panics))
 	s.noteLoadStats(rep.Metrics.Journal)
 

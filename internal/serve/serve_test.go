@@ -15,6 +15,7 @@ import (
 
 	"wlcache/internal/expt"
 	"wlcache/internal/runner"
+	"wlcache/internal/sim"
 )
 
 const committedGolden = "../expt/testdata/golden_results.json"
@@ -355,6 +356,43 @@ func TestShutdownDeadlineDegradesToSkips(t *testing.T) {
 	}
 }
 
+// A sweep whose request budget has expired before its first cell
+// starts computes nothing: every cell streams back as a typed skip
+// carrying the deadline, and the stream still ends with a well-formed
+// done event.
+func TestRequestBudgetExpiredSkipsEveryCell(t *testing.T) {
+	s, cl := newTestServer(t, Config{RequestBudget: time.Nanosecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	st, err := cl.Submit(ctx, tinySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	cells, done, err := st.Drain()
+	if err != nil || done == nil {
+		t.Fatalf("budgeted sweep stream broken: done=%v err=%v", done, err)
+	}
+	if done.Error != "" || done.Metrics == nil {
+		t.Fatalf("done event malformed: %+v", done)
+	}
+	if m := done.Metrics; m.Cells != 3 || m.Skipped != 3 || m.Computed != 0 || m.Failed != 0 {
+		t.Fatalf("budgeted sweep metrics %+v, want all 3 cells skipped", m)
+	}
+	if len(cells) != 3 {
+		t.Fatalf("streamed %d cell events, want 3", len(cells))
+	}
+	for _, ev := range cells {
+		if ev.Source != string(runner.SourceSkipped) || ev.Result != nil ||
+			!strings.Contains(ev.Error, context.DeadlineExceeded.Error()) {
+			t.Fatalf("cell %s: source %q error %q, want a typed skip for the expired budget", ev.ID, ev.Source, ev.Error)
+		}
+	}
+	if m := s.Metrics(); m.CellsComputed != 0 || m.JournalAppends != 0 || m.CellsSkipped != 3 {
+		t.Fatalf("server metrics %+v, want nothing computed or journaled", m)
+	}
+}
+
 // Malformed and oversized specs are rejected with 400 before any
 // simulation or journal I/O; wrong methods with 405.
 func TestSpecRejection(t *testing.T) {
@@ -377,7 +415,9 @@ func TestSpecRejection(t *testing.T) {
 		{"unknown field", `{"bogus":1}`},
 		{"not json", `designs=wl`},
 		{"oversized scale", `{"scale":65}`},
-		{"negative budget", `{"cell_budget_ms":-1}`},
+		// A runnable one-cell spec plus a field the server does not
+		// know (a retired one, say) must still be refused, not run.
+		{"unknown field on a runnable spec", `{"designs":["wl"],"workloads":["adpcmencode"],"traces":["none"],"budget_ms":10}`},
 		{"grid out of range", `{"grid":{"maxline":[65]}}`},
 		{"unknown tier", `{"tier":"warp"}`},
 		{"too many cells", `{}`}, // 78 golden cells > MaxCells 50
@@ -444,6 +484,30 @@ func TestSpecIDStability(t *testing.T) {
 	other := Spec{Workloads: []string{"sha"}}
 	if defaults.ID("e1") == other.ID("e1") {
 		t.Fatal("different specs collide")
+	}
+}
+
+// Sweep IDs name journal files on disk, so they must not drift across
+// versions: the golden default and a perfbench-shaped grid spec hash to
+// the IDs pinned under engine wlcache-sim/6.
+func TestSweepIDsPinned(t *testing.T) {
+	grid := Spec{
+		Designs:   []string{"wl"},
+		Workloads: []string{"adpcmencode", "basicmath", "sha", "qsort", "dijkstra"},
+		Traces:    []string{"tr1"},
+		Grid:      &Grid{Maxline: []int{4}, DQCap: []int{8}},
+	}
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"golden default", Spec{}, "73f40e20011caccf2ca0070f52aa797198e6d33d1345d2e7b321efdad7b24fbd"},
+		{"grid", grid, "3169d308c26c0e14761d962320757418d1f08d6364b0b39b2a23de49e72e9080"},
+	} {
+		if got := c.spec.ID(sim.EngineVersion); got != c.want {
+			t.Errorf("%s: sweep id %s under %s, want %s (pinned under wlcache-sim/6)", c.name, got, sim.EngineVersion, c.want)
+		}
 	}
 }
 
